@@ -33,18 +33,13 @@ impl DbscanConfig {
 /// Clusters are maximal sets of density-connected points; border points
 /// (non-core neighbors of a core point) join the first cluster that
 /// reaches them; everything else is noise (reported as outliers).
-pub fn dbscan(graph: &NeighborGraph, config: DbscanConfig) -> Clustering {
-    // tidy-allow(panic): an unlimited governor never trips
-    dbscan_governed(graph, config, &RunGovernor::unlimited())
-        .expect("an unlimited governor never trips")
-}
-
-/// As [`dbscan`], under a [`RunGovernor`]: the budgets and cancellation
-/// token are checked at every seed-point expansion.
+///
+/// Runs under `governor`: the budgets and cancellation token are checked
+/// at every seed-point expansion. An unlimited governor never interrupts.
 ///
 /// # Errors
 /// [`RockError::Interrupted`] when the governor trips.
-pub fn dbscan_governed(
+pub fn dbscan(
     graph: &NeighborGraph,
     config: DbscanConfig,
     governor: &RunGovernor,
@@ -113,8 +108,8 @@ mod tests {
             Transaction::from([11, 12, 13]),
             Transaction::from([99]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let c = dbscan(&g, DbscanConfig::new(3));
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
+        let c = dbscan(&g, DbscanConfig::new(3), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.sizes(), vec![4, 4]);
         assert_eq!(c.outliers, vec![8]);
     }
@@ -133,8 +128,8 @@ mod tests {
         }
         m.set(3, 4, 0.9); // border point 4
         m.set(4, 5, 0.9); // 5 hangs off the border point — NOT reachable
-        let g = NeighborGraph::build(&m, 0.5);
-        let c = dbscan(&g, DbscanConfig::new(4));
+        let g = NeighborGraph::build(&m, 0.5, 1).unwrap();
+        let c = dbscan(&g, DbscanConfig::new(4), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 1);
         assert_eq!(c.clusters[0], vec![0, 1, 2, 3, 4]);
         assert_eq!(c.outliers, vec![5]);
@@ -166,16 +161,16 @@ mod tests {
             }
             ts
         };
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let c = dbscan(&g, DbscanConfig::new(3));
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
+        let c = dbscan(&g, DbscanConfig::new(3), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 1, "DBSCAN merges Fig. 1's clusters");
     }
 
     #[test]
     fn all_noise_when_min_pts_too_high() {
         let m = SimilarityMatrix::new(4);
-        let g = NeighborGraph::build(&m, 0.5);
-        let c = dbscan(&g, DbscanConfig::new(2));
+        let g = NeighborGraph::build(&m, 0.5, 1).unwrap();
+        let c = dbscan(&g, DbscanConfig::new(2), &RunGovernor::unlimited()).unwrap();
         assert_eq!(c.num_clusters(), 0);
         assert_eq!(c.outliers.len(), 4);
     }

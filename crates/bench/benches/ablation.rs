@@ -8,18 +8,27 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
-use rock_core::algorithm::{OutlierPolicy, RockAlgorithm};
+use rock_core::algorithm::{OutlierPolicy, RockAlgorithm, RockRun};
 use rock_core::goodness::{BasketF, Goodness, GoodnessKind};
+use rock_core::governor::RunGovernor;
+use rock_core::links_matrix::LinkMatrix;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::similarity::{Jaccard, PointsWith};
 use rock_data::{generate_baskets, SyntheticBasketSpec};
 use std::hint::black_box;
 
+/// The ungoverned Fig.-3 merge loop over precomputed links.
+fn merge(algo: &RockAlgorithm, graph: &NeighborGraph, links: &LinkMatrix) -> RockRun {
+    algo.run(graph, links, &RunGovernor::unlimited(), None)
+        .expect("an unlimited governor never trips")
+}
+
 fn bench_goodness_kinds(c: &mut Criterion) {
     let spec = SyntheticBasketSpec::paper_scaled(0.01);
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(3));
-    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5);
-    let links = rock_core::links::compute_links_auto(&graph);
+    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5, 1)
+        .expect("valid theta");
+    let links = LinkMatrix::compute_auto(&graph, 1);
 
     // Quality side of the ablation, printed once: the raw-link criterion
     // lets large clusters swallow small ones (§4.2).
@@ -29,7 +38,7 @@ fn bench_goodness_kinds(c: &mut Criterion) {
     ] {
         let goodness = Goodness::new(0.5, BasketF, kind);
         let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
-        let run = algo.run_with_links(&graph, &links);
+        let run = merge(&algo, &graph, &links);
         let pred = run.clustering.assignments(data.transactions.len());
         let truth: Vec<usize> = data.labels.iter().map(|l| l.map_or(10, |c| c)).collect();
         let pred_flat: Vec<usize> = pred.iter().map(|p| p.map_or(99, |c| c)).collect();
@@ -48,7 +57,7 @@ fn bench_goodness_kinds(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &kind, |b, &kind| {
             let goodness = Goodness::new(0.5, BasketF, kind);
             let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
-            b.iter(|| black_box(algo.run_with_links(&graph, &links)))
+            b.iter(|| black_box(merge(&algo, &graph, &links)))
         });
     }
     group.finish();
@@ -57,21 +66,18 @@ fn bench_goodness_kinds(c: &mut Criterion) {
 fn bench_outlier_pruning(c: &mut Criterion) {
     let spec = SyntheticBasketSpec::paper_scaled(0.01);
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(4));
-    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.6);
+    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.6, 1)
+        .expect("valid theta");
     let mut group = c.benchmark_group("outlier_pruning");
     for (name, policy) in [
         ("prune_isolated", OutlierPolicy::default()),
         ("keep_everything", OutlierPolicy::disabled()),
     ] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(name),
-            &policy,
-            |b, &policy| {
-                let goodness = Goodness::new(0.6, BasketF, GoodnessKind::Normalized);
-                let algo = RockAlgorithm::new(goodness, 10, policy);
-                b.iter(|| black_box(algo.run(&graph)))
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(name), &policy, |b, &policy| {
+            let goodness = Goodness::new(0.6, BasketF, GoodnessKind::Normalized);
+            let algo = RockAlgorithm::new(goodness, 10, policy);
+            b.iter(|| black_box(merge(&algo, &graph, &LinkMatrix::compute_auto(&graph, 1))))
+        });
     }
     group.finish();
 }
@@ -93,7 +99,7 @@ fn bench_labeling_fraction(c: &mut Criterion) {
                     .seed(99)
                     .build()
                     .expect("valid");
-                b.iter(|| black_box(rock.run(&data.transactions, &Jaccard)))
+                b.iter(|| black_box(rock.try_run(&data.transactions, &Jaccard)))
             },
         );
     }

@@ -15,7 +15,7 @@ fn sample_graph(n: usize, theta: f64) -> NeighborGraph {
     let spec = SyntheticBasketSpec::paper_scaled(0.02);
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(7));
     let sample = &data.transactions[..n.min(data.transactions.len())];
-    NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta)
+    NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta, 1).expect("valid theta")
 }
 
 fn bench_sparse_vs_dense(c: &mut Criterion) {

@@ -1,5 +1,5 @@
 //! Neighbor-graph construction benchmarks: the O(n²) pairwise scan,
-//! serial vs crossbeam-parallel, and the cost dependence on θ.
+//! on one thread and across worker counts.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
@@ -20,12 +20,7 @@ fn bench_serial_sizes(c: &mut Criterion) {
     for &n in &[250usize, 500, 1000] {
         let pts = sample(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &pts, |b, pts| {
-            b.iter(|| {
-                black_box(NeighborGraph::build(
-                    &PointsWith::new(pts, Jaccard),
-                    0.5,
-                ))
-            })
+            b.iter(|| black_box(NeighborGraph::build(&PointsWith::new(pts, Jaccard), 0.5, 1)))
         });
     }
     group.finish();
@@ -40,7 +35,7 @@ fn bench_parallel(c: &mut Criterion) {
             &threads,
             |b, &threads| {
                 b.iter(|| {
-                    black_box(NeighborGraph::build_parallel(
+                    black_box(NeighborGraph::build(
                         &PointsWith::new(&pts, Jaccard),
                         0.5,
                         threads,

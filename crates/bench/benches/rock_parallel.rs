@@ -1,8 +1,9 @@
 //! Sequential-vs-parallel regression bench for the PR-2 kernel engine,
 //! on the §5.3 synthetic market-basket generator.
 //!
-//! Four stages of the pipeline are measured, each as `seq` (the reference
-//! single-thread path) against `parN` (the rayon kernels at N workers):
+//! Four stages of the pipeline are measured, each as `seq` (the kernel at
+//! one thread, or the reference single-thread path) against `parN` (the
+//! same kernel on N rayon workers):
 //!
 //! * `neighbors` — the O(n²) θ-neighbor scan, over both the per-pair
 //!   sorted-merge `Transaction` substrate and the bit-packed
@@ -30,6 +31,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
 use rand::{rngs::StdRng, SeedableRng};
+use rock_core::governor::RunGovernor;
 use rock_core::labeling::Labeler;
 use rock_core::links::compute_links_sparse;
 use rock_core::links_matrix::LinkMatrix;
@@ -84,18 +86,16 @@ fn bench_neighbors(c: &mut Criterion) {
     let mut group = c.benchmark_group("neighbors");
     group.bench_function(BenchmarkId::from("transactions_seq").threads(1), |b| {
         let points = PointsWith::new(sample, Jaccard);
-        b.iter(|| black_box(NeighborGraph::build(&points, THETA)))
+        b.iter(|| black_box(NeighborGraph::build(&points, THETA, 1)))
     });
     group.bench_function(BenchmarkId::from("packed_seq").threads(1), |b| {
-        b.iter(|| black_box(NeighborGraph::build(&packed, THETA)))
+        b.iter(|| black_box(NeighborGraph::build(&packed, THETA, 1)))
     });
     for threads in THREAD_COUNTS {
         group.bench_with_input(
             BenchmarkId::new("packed_par", threads).threads(threads),
             &threads,
-            |b, &threads| {
-                b.iter(|| black_box(NeighborGraph::build_parallel(&packed, THETA, threads)))
-            },
+            |b, &threads| b.iter(|| black_box(NeighborGraph::build(&packed, THETA, threads))),
         );
     }
     group.finish();
@@ -104,7 +104,7 @@ fn bench_neighbors(c: &mut Criterion) {
 fn bench_links(c: &mut Criterion) {
     let pool = pool();
     let sample = &pool[..1500.min(pool.len())];
-    let graph = NeighborGraph::build(&PackedBaskets::new(sample), THETA);
+    let graph = NeighborGraph::build(&PackedBaskets::new(sample), THETA, 1).expect("valid theta");
 
     let mut sparse = c.benchmark_group("links_sparse");
     sparse.bench_function(BenchmarkId::from("reference_hashmap").threads(1), |b| {
@@ -147,15 +147,16 @@ fn bench_labeling(c: &mut Criterion) {
     ];
     let labeler = Labeler::full(sample, &clusters, THETA, 1.0 / 3.0);
     let mut group = c.benchmark_group("labeling");
+    let unlimited = RunGovernor::unlimited();
     group.bench_function(BenchmarkId::from("seq").threads(1), |b| {
-        b.iter(|| black_box(labeler.label_all(&pool, &Jaccard)))
+        b.iter(|| black_box(labeler.label_all(&pool, &Jaccard, 1, &unlimited)))
     });
     for threads in THREAD_COUNTS {
         group.bench_with_input(
             BenchmarkId::new("par", threads).threads(threads),
             &threads,
             |b, &threads| {
-                b.iter(|| black_box(labeler.label_all_parallel(&pool, &Jaccard, threads)))
+                b.iter(|| black_box(labeler.label_all(&pool, &Jaccard, threads, &unlimited)))
             },
         );
     }

@@ -8,8 +8,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
-use rock_core::algorithm::{OutlierPolicy, RockAlgorithm};
+use rock_core::algorithm::{OutlierPolicy, RockAlgorithm, RockRun};
 use rock_core::goodness::{BasketF, Goodness, GoodnessKind};
+use rock_core::governor::RunGovernor;
+use rock_core::links_matrix::LinkMatrix;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::points::Transaction;
 use rock_core::similarity::{Jaccard, PointsWith};
@@ -22,6 +24,15 @@ fn pool() -> Vec<Transaction> {
         .transactions
 }
 
+/// Neighbors, links and the merge loop over `sample` on `threads` workers.
+fn cluster(sample: &[Transaction], theta: f64, algo: &RockAlgorithm, threads: usize) -> RockRun {
+    let graph = NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta, threads)
+        .expect("valid theta and thread count");
+    let links = LinkMatrix::compute_auto(&graph, threads);
+    algo.run(&graph, &links, &RunGovernor::unlimited(), None)
+        .expect("an unlimited governor never trips")
+}
+
 fn bench_sizes(c: &mut Criterion) {
     let pool = pool();
     let mut group = c.benchmark_group("rock_end_to_end");
@@ -30,10 +41,7 @@ fn bench_sizes(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("size", n), &sample, |b, sample| {
             let goodness = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);
             let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
-            b.iter(|| {
-                let graph = NeighborGraph::build(&PointsWith::new(sample, Jaccard), 0.5);
-                black_box(algo.run(&graph))
-            })
+            b.iter(|| black_box(cluster(sample, 0.5, &algo, 1)))
         });
     }
     group.finish();
@@ -44,26 +52,18 @@ fn bench_thetas(c: &mut Criterion) {
     let sample = &pool[..800];
     let mut group = c.benchmark_group("rock_theta");
     for &theta in &[0.5, 0.6, 0.7, 0.8] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(theta),
-            &theta,
-            |b, &theta| {
-                let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
-                let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
-                b.iter(|| {
-                    let graph =
-                        NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta);
-                    black_box(algo.run(&graph))
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::from_parameter(theta), &theta, |b, &theta| {
+            let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
+            let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
+            b.iter(|| black_box(cluster(sample, theta, &algo, 1)))
+        });
     }
     group.finish();
 }
 
 fn bench_threads(c: &mut Criterion) {
     // End-to-end run at a fixed size across worker counts: neighbors,
-    // links and the merge loop all behind `run_parallel` — bit-identical
+    // links and the merge loop all on the same workers — bit-identical
     // output for every thread count, so this group measures speed only.
     let pool = pool();
     let sample = &pool[..800.min(pool.len())];
@@ -75,14 +75,7 @@ fn bench_threads(c: &mut Criterion) {
             |b, &threads| {
                 let goodness = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);
                 let algo = RockAlgorithm::new(goodness, 10, OutlierPolicy::default());
-                b.iter(|| {
-                    let graph = NeighborGraph::build_parallel(
-                        &PointsWith::new(sample, Jaccard),
-                        0.5,
-                        threads,
-                    );
-                    black_box(algo.run_parallel(&graph, threads))
-                })
+                b.iter(|| black_box(cluster(sample, 0.5, &algo, threads)))
             },
         );
     }

@@ -39,16 +39,19 @@ fn bench_shard_merge(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("shard_merge");
     group.bench_function("unsharded_baseline", |b| {
-        b.iter(|| black_box(rock.cluster(points, &Jaccard)))
+        b.iter(|| {
+            black_box(
+                rock.try_cluster(points, &Jaccard, None)
+                    .expect("unsharded run"),
+            )
+        })
     });
     for shards in [2usize, 4, 8] {
+        let supervisor = rock
+            .shard_supervisor(shard_config(shards))
+            .expect("supervisor");
         group.bench_function(format!("shards_{shards}"), |b| {
-            b.iter(|| {
-                black_box(
-                    rock.cluster_sharded(points, &Jaccard, shard_config(shards))
-                        .expect("sharded run"),
-                )
-            })
+            b.iter(|| black_box(supervisor.run(points, &Jaccard).expect("sharded run")))
         });
     }
     // Supervision under fire: shard 1's first attempt is killed eight

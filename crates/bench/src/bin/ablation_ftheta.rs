@@ -15,21 +15,25 @@ use rand::{rngs::StdRng, SeedableRng};
 use rock_core::goodness::{BasketF, FTheta};
 use rock_core::similarity::{CategoricalJaccard, Jaccard, PairwiseSimilarity, PointsWith};
 use rock_core::{
-    ConstantF, Goodness, GoodnessKind, NeighborGraph, OutlierPolicy, RockAlgorithm,
+    ConstantF, Goodness, GoodnessKind, LinkMatrix, NeighborGraph, OutlierPolicy, RockAlgorithm,
+    RunGovernor,
 };
 use rock_data::{generate_baskets, generate_mushrooms, MushroomSpec, SyntheticBasketSpec};
 use rock_eval::adjusted_rand_index;
 
-fn ari_with_f<PS: PairwiseSimilarity>(
+fn ari_with_f<PS: PairwiseSimilarity + Sync>(
     sim: &PS,
     theta: f64,
     k: usize,
     f: f64,
     truth: &[usize],
 ) -> f64 {
-    let graph = NeighborGraph::build(sim, theta);
+    let graph = NeighborGraph::build(sim, theta, 1).expect("valid theta");
+    let links = LinkMatrix::compute_auto(&graph, 1);
     let goodness = Goodness::new(theta, ConstantF(f), GoodnessKind::Normalized);
-    let run = RockAlgorithm::new(goodness, k, OutlierPolicy::default()).run(&graph);
+    let run = RockAlgorithm::new(goodness, k, OutlierPolicy::default())
+        .run(&graph, &links, &RunGovernor::unlimited(), None)
+        .expect("an unlimited governor never trips");
     // Outliers become one extra dense label (the agreement indices build
     // dense count matrices).
     let outlier_label = run.clustering.num_clusters();

@@ -112,7 +112,8 @@ fn main() {
             .build()
             .expect("valid");
         let sim = CategoricalJaccard::new(MissingPolicy::CommonAttributes);
-        let (run, secs) = timed(|| rock.cluster(&data.records, &sim));
+        let (run, secs) = timed(|| rock.try_cluster(&data.records, &sim, None));
+        let run = run.expect("categorical Jaccard is finite and the governor unlimited");
         let families = run
             .clustering
             .clusters
@@ -149,7 +150,8 @@ fn main() {
             .seed(seed)
             .build()
             .expect("valid");
-        let (result, secs) = timed(|| rock.run(&data.transactions, &Jaccard));
+        let (result, secs) = timed(|| rock.try_run(&data.transactions, &Jaccard));
+        let (result, _report) = result.expect("Jaccard is finite and the governor unlimited");
         let m = count_misclassified(&result.labeling.assignments, &data.labels);
         rows.push(vec![
             format!("Table 6 (synthetic ×{scale}, sample {sample})"),

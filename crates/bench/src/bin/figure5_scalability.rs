@@ -16,6 +16,8 @@ use bench::{print_table, timed, Args};
 use rand::{rngs::StdRng, SeedableRng};
 use rock_core::goodness::{BasketF, FTheta, Goodness, GoodnessKind};
 use rock_core::algorithm::{OutlierPolicy, RockAlgorithm};
+use rock_core::governor::RunGovernor;
+use rock_core::links_matrix::LinkMatrix;
 use rock_core::neighbors::NeighborGraph;
 use rock_core::similarity::{Jaccard, PointsWith};
 use rock_data::{generate_baskets, SyntheticBasketSpec};
@@ -56,8 +58,11 @@ fn main() {
             let mut best = f64::INFINITY;
             for _ in 0..repeats.max(1) {
                 let (_, secs) = timed(|| {
-                    let graph = NeighborGraph::build(&PointsWith::new(&sample, Jaccard), theta);
-                    algo.run(&graph)
+                    let graph = NeighborGraph::build(&PointsWith::new(&sample, Jaccard), theta, 1)
+                        .expect("valid theta");
+                    let links = LinkMatrix::compute_auto(&graph, 1);
+                    algo.run(&graph, &links, &RunGovernor::unlimited(), None)
+                        .expect("an unlimited governor never trips")
                 });
                 best = best.min(secs);
             }

@@ -49,7 +49,8 @@ fn main() {
         .build()
         .expect("valid config");
     let sim = CategoricalJaccard::new(MissingPolicy::CommonAttributes);
-    let (run, secs) = timed(|| rock.cluster(&data.records, &sim));
+    let (run, secs) = timed(|| rock.try_cluster(&data.records, &sim, None));
+    let run = run.expect("categorical Jaccard is finite and the governor unlimited");
     println!("ROCK finished in {secs:.1}s");
 
     // Name each found cluster by its majority true group.

@@ -174,7 +174,8 @@ pub fn rock_on_records(
         builder = builder.weed_outliers(multiple, min_size);
     }
     let rock = builder.build().expect("valid config");
-    rock.cluster(records, &CategoricalJaccard::new(policy))
+    rock.try_cluster(records, &CategoricalJaccard::new(policy), None)
+        .expect("categorical Jaccard is finite and the governor unlimited")
 }
 
 /// Formats a contingency comparison the way the paper's Tables 2/3 read:

@@ -26,7 +26,6 @@ use crate::error::RockError;
 use crate::goodness::{Goodness, GoodnessKind};
 use crate::governor::{Phase, RunGovernor};
 use crate::incremental::IncrementalState;
-use crate::links::LinkTable;
 use crate::links_matrix::LinkMatrix;
 use crate::neighbors::NeighborGraph;
 use crate::util::FxBuildHasher;
@@ -140,93 +139,23 @@ impl RockAlgorithm {
         self.k
     }
 
-    /// Clusters the points of `graph`: computes links (auto-selected CSR
-    /// kernel, see [`LinkMatrix::compute_auto`]) and runs the merge loop
-    /// (Fig. 3), single-threaded.
-    pub fn run(&self, graph: &NeighborGraph) -> RockRun {
-        self.run_parallel(graph, 1)
-    }
-
-    /// As [`run`](Self::run) with the link computation spread over
-    /// `threads` workers. The clustering result is bit-identical to the
-    /// single-threaded run for every thread count (the link kernels are
-    /// deterministic; the merge loop is sequential either way).
+    /// Clusters the points of `graph` over their precomputed CSR link
+    /// matrix with the Fig.-3 merge loop.
     ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn run_parallel(&self, graph: &NeighborGraph, threads: usize) -> RockRun {
-        let links = LinkMatrix::compute_auto(graph, threads);
-        self.run_with_matrix(graph, &links)
-    }
-
-    /// As [`run`](Self::run), with a precomputed CSR link matrix.
-    ///
-    /// # Panics
-    /// Panics if `links` is not defined over exactly `graph.len()` points.
-    pub fn run_with_matrix(&self, graph: &NeighborGraph, links: &LinkMatrix) -> RockRun {
-        assert_eq!(
-            links.num_points(),
-            graph.len(),
-            "link matrix and neighbor graph disagree on point count"
-        );
-        self.run_from_pairs(graph, links.iter_upper())
-    }
-
-    /// As [`run`](Self::run), with a precomputed link table (e.g. from
-    /// [`crate::links::compute_links_dense`] or
-    /// [`crate::links_l3::combine_links`]).
-    ///
-    /// # Panics
-    /// Panics if `links` is not defined over exactly `graph.len()` points.
-    pub fn run_with_links(&self, graph: &NeighborGraph, links: &LinkTable) -> RockRun {
-        assert_eq!(
-            links.num_points(),
-            graph.len(),
-            "link table and neighbor graph disagree on point count"
-        );
-        // tidy-allow(nondeterministic-iter): pair order folds into keyed maps and heaps; AddressableHeap breaks goodness ties by the larger key, so iteration order cannot reach the merge sequence
-        self.run_from_pairs(graph, links.iter())
-    }
-
-    /// As [`run_parallel`](Self::run_parallel), but governed: budgets and
-    /// cancellation are checked at phase boundaries and every
+    /// The run is governed: budgets and cancellation are checked every
     /// `check_every` merges, and every merge decision is appended to
-    /// `wal` (if given) *before* it is counted as done, so an
-    /// interrupted run can be continued by [`resume`](Self::resume).
-    ///
-    /// With an unlimited governor the result is bit-identical to
-    /// [`run_parallel`](Self::run_parallel).
+    /// `wal` (if given) *before* it is counted as done, so an interrupted
+    /// run can be continued by [`resume`](Self::resume). An unlimited
+    /// governor never interrupts. The merge loop is sequential, so the
+    /// result does not depend on how many threads computed `links`.
     ///
     /// # Errors
     /// [`RockError::Interrupted`] when the governor trips; `resumable`
     /// is `true` iff a WAL was being written.
-    pub fn run_governed(
-        &self,
-        graph: &NeighborGraph,
-        threads: usize,
-        governor: &RunGovernor,
-        wal: Option<&mut MergeWal>,
-    ) -> Result<RockRun, RockError> {
-        governor.check(Phase::Links)?;
-        let links = LinkMatrix::compute_auto(graph, threads);
-        let link_bytes = links.memory_bytes() as u64;
-        governor.charge(link_bytes);
-        let result = governor
-            .check(Phase::Links)
-            .and_then(|()| self.run_with_matrix_governed(graph, &links, governor, wal));
-        governor.release(link_bytes);
-        result
-    }
-
-    /// As [`run_with_matrix`](Self::run_with_matrix), governed and
-    /// optionally WAL-logged (see [`run_governed`](Self::run_governed)).
-    ///
-    /// # Errors
-    /// [`RockError::Interrupted`] when the governor trips.
     ///
     /// # Panics
     /// Panics if `links` is not defined over exactly `graph.len()` points.
-    pub fn run_with_matrix_governed(
+    pub fn run(
         &self,
         graph: &NeighborGraph,
         links: &LinkMatrix,
@@ -319,21 +248,6 @@ impl RockAlgorithm {
         }
         self.drive(&mut engine, governor, wal_out.as_deref_mut())?;
         Ok(self.finish(engine, wal_out))
-    }
-
-    /// The Fig.-3 merge loop seeded from a stream of `((i, j), count)`
-    /// linked pairs (`i < j`, each pair at most once, any order).
-    fn run_from_pairs(
-        &self,
-        graph: &NeighborGraph,
-        pairs: impl Iterator<Item = ((u32, u32), u32)>,
-    ) -> RockRun {
-        let mut engine = self.init_from_pairs(graph, pairs);
-        let governor = RunGovernor::unlimited();
-        self.drive(&mut engine, &governor, None)
-            // tidy-allow(panic): an unlimited governor has no budgets, no deadline and no cancel token, so drive() cannot trip
-            .expect("an unlimited governor never trips");
-        self.finish(engine, None)
     }
 
     /// Builds the initial engine state: §4.6 first pruning, singleton
@@ -687,6 +601,19 @@ mod tests {
     use crate::points::Transaction;
     use crate::similarity::{Jaccard, PointsWith, SimilarityMatrix};
 
+    /// Builds the θ-neighbor graph on one thread.
+    fn graph<S: crate::similarity::PairwiseSimilarity + Sync>(
+        sim: &S,
+        theta: f64,
+    ) -> NeighborGraph {
+        NeighborGraph::build(sim, theta, 1).unwrap()
+    }
+
+    /// Links on one thread, then the ungoverned merge loop.
+    fn run(engine: RockAlgorithm, g: &NeighborGraph) -> RockRun {
+        crate::testdata::merge(engine, g).unwrap()
+    }
+
     fn basket_engine(theta: f64, k: usize) -> RockAlgorithm {
         RockAlgorithm::new(
             Goodness::new(theta, BasketF, GoodnessKind::Normalized),
@@ -708,13 +635,13 @@ mod tests {
     #[test]
     fn recovers_figure1_clusters() {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = graph(&PointsWith::new(&ts, Jaccard), 0.5);
         let engine = RockAlgorithm::new(
             Goodness::new(0.5, crate::goodness::ConstantF(1.0), GoodnessKind::Normalized),
             2,
             OutlierPolicy::default(),
         );
-        let run = engine.run(&g);
+        let run = run(engine, &g);
         let c = &run.clustering;
         assert_eq!(c.num_clusters(), 2);
         assert_eq!(c.sizes(), vec![10, 4]);
@@ -732,7 +659,7 @@ mod tests {
     fn figure1_f_sensitivity() {
         use crate::criterion_fn::criterion_value;
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = graph(&PointsWith::new(&ts, Jaccard), 0.5);
         let links = crate::links::compute_links_sparse(&g);
         let correct = vec![(0u32..10).collect::<Vec<_>>(), (10u32..14).collect()];
         let swallowed = vec![(0u32..12).collect::<Vec<_>>(), (12u32..14).collect()];
@@ -742,7 +669,7 @@ mod tests {
                 > criterion_value(&links, &correct, &basket),
             "with f = 1/3, E_l prefers the swallowed split on this data"
         );
-        let run = basket_engine(0.5, 2).run(&g);
+        let run = run(basket_engine(0.5, 2), &g);
         assert_eq!(run.clustering.sizes(), vec![12, 2]);
         // With the density-faithful f = 1 the preference flips.
         let dense = Goodness::new(0.5, crate::goodness::ConstantF(1.0), GoodnessKind::Normalized);
@@ -762,14 +689,14 @@ mod tests {
             Transaction::from([1, 4]),
             Transaction::from([6]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.2);
+        let g = graph(&PointsWith::new(&ts, Jaccard), 0.2);
         // Ask for 2 clusters with outlier pruning off so all points remain.
         let engine = RockAlgorithm::new(
             Goodness::new(0.2, BasketF, GoodnessKind::Normalized),
             2,
             OutlierPolicy::disabled(),
         );
-        let run = engine.run(&g);
+        let run = run(engine, &g);
         let c = &run.clustering;
         // {6} has no neighbors ⇒ no links ⇒ it can never merge; the loop
         // stops early with ≥ 2 clusters and 2 and 3 never share a cluster
@@ -792,8 +719,8 @@ mod tests {
             Transaction::from([10, 11, 13]),
             Transaction::from([10, 12, 13]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let run = basket_engine(0.5, 1).run(&g);
+        let g = graph(&PointsWith::new(&ts, Jaccard), 0.5);
+        let run = run(basket_engine(0.5, 1), &g);
         assert_eq!(run.clustering.num_clusters(), 2);
         assert_eq!(run.clustering.sizes(), vec![3, 3]);
     }
@@ -806,8 +733,8 @@ mod tests {
             Transaction::from([1, 3, 4]),
             Transaction::from([99]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let run = basket_engine(0.5, 1).run(&g);
+        let g = graph(&PointsWith::new(&ts, Jaccard), 0.5);
+        let run = run(basket_engine(0.5, 1), &g);
         assert_eq!(run.clustering.outliers, vec![3]);
         assert_eq!(run.clustering.num_clusters(), 1);
     }
@@ -824,7 +751,7 @@ mod tests {
             Transaction::from([50, 51, 52]),
             Transaction::from([50, 51, 53]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = graph(&PointsWith::new(&ts, Jaccard), 0.5);
         let engine = RockAlgorithm::new(
             Goodness::new(0.5, BasketF, GoodnessKind::Normalized),
             1,
@@ -836,7 +763,7 @@ mod tests {
                 }),
             },
         );
-        let run = engine.run(&g);
+        let run = run(engine, &g);
         assert_eq!(run.clustering.num_clusters(), 1);
         assert_eq!(run.clustering.clusters[0], vec![0, 1, 2, 3]);
         assert_eq!(run.clustering.outliers, vec![4, 5]);
@@ -845,8 +772,8 @@ mod tests {
     #[test]
     fn merge_records_are_consistent() {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let run = basket_engine(0.5, 2).run(&g);
+        let g = graph(&PointsWith::new(&ts, Jaccard), 0.5);
+        let run = run(basket_engine(0.5, 2), &g);
         // 14 points → 2 clusters needs exactly 12 merges.
         assert_eq!(run.merges.len(), 12);
         for m in &run.merges {
@@ -859,13 +786,15 @@ mod tests {
     #[test]
     fn k_greater_than_n_returns_singletons() {
         let m = SimilarityMatrix::from_fn(3, |_, _| 1.0);
-        let g = NeighborGraph::build(&m, 0.5);
-        let run = RockAlgorithm::new(
-            Goodness::new(0.5, BasketF, GoodnessKind::Normalized),
-            10,
-            OutlierPolicy::disabled(),
-        )
-        .run(&g);
+        let g = graph(&m, 0.5);
+        let run = run(
+            RockAlgorithm::new(
+                Goodness::new(0.5, BasketF, GoodnessKind::Normalized),
+                10,
+                OutlierPolicy::disabled(),
+            ),
+            &g,
+        );
         assert_eq!(run.clustering.num_clusters(), 3);
         assert!(run.merges.is_empty());
     }
@@ -873,9 +802,9 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
-        let a = basket_engine(0.5, 2).run(&g).clustering;
-        let b = basket_engine(0.5, 2).run(&g).clustering;
+        let g = graph(&PointsWith::new(&ts, Jaccard), 0.5);
+        let a = run(basket_engine(0.5, 2), &g).clustering;
+        let b = run(basket_engine(0.5, 2), &g).clustering;
         assert_eq!(a, b);
     }
 

@@ -120,7 +120,7 @@ mod tests {
             Transaction::from([10, 12, 13]),
             Transaction::from([99]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let comp = neighbor_components(&g, 2);
         assert_eq!(comp.sizes(), vec![3, 3]);
         assert_eq!(comp.outliers, vec![6]);
@@ -130,12 +130,12 @@ mod tests {
             crate::goodness::BasketF,
             crate::goodness::GoodnessKind::Normalized,
         );
-        let rock = crate::algorithm::RockAlgorithm::new(
+        let algorithm = crate::algorithm::RockAlgorithm::new(
             goodness,
             1,
             crate::algorithm::OutlierPolicy::default(),
-        )
-        .run(&g);
+        );
+        let rock = crate::testdata::merge(algorithm, &g).unwrap();
         assert_eq!(comp.clusters, rock.clustering.clusters);
     }
 
@@ -145,7 +145,7 @@ mod tests {
         // the {1,2,x} transactions, so components lump everything — the
         // failure mode that motivates links.
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let comp = neighbor_components(&g, 2);
         assert_eq!(comp.num_clusters(), 1, "components cannot separate Fig. 1");
     }
@@ -159,7 +159,7 @@ mod tests {
             Transaction::from([5, 6, 8]),
             Transaction::from([5, 7, 8]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let c = neighbor_components(&g, 3);
         assert_eq!(c.sizes(), vec![3]);
         assert_eq!(c.outliers, vec![0, 1]);

@@ -76,7 +76,7 @@ mod tests {
             Transaction::from([10, 12, 13]),
             Transaction::from([11, 12, 13]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let links = compute_links_sparse(&g);
         (ts, links)
     }

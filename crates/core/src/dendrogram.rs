@@ -163,9 +163,13 @@ mod tests {
 
     fn figure1_run(k: usize) -> crate::algorithm::RockRun {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
-        RockAlgorithm::new(goodness, k, OutlierPolicy::default()).run(&g)
+        crate::testdata::merge(
+            RockAlgorithm::new(goodness, k, OutlierPolicy::default()),
+            &g,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -216,7 +220,7 @@ mod tests {
         let run = figure1_run(2);
         let d = Dendrogram::from_run(&run).unwrap();
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let links = crate::links::compute_links_sparse(&g);
         let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
         let profile = d.criterion_profile(&links, &goodness);
@@ -238,9 +242,9 @@ mod tests {
     #[test]
     fn weeded_runs_have_no_dendrogram() {
         let ts = crate::testdata::figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let goodness = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);
-        let run = RockAlgorithm::new(
+        let algorithm = RockAlgorithm::new(
             goodness,
             2,
             OutlierPolicy {
@@ -250,8 +254,8 @@ mod tests {
                     min_cluster_size: 3,
                 }),
             },
-        )
-        .run(&g);
+        );
+        let run = crate::testdata::merge(algorithm, &g).unwrap();
         if !run.clustering.outliers.is_empty() {
             assert!(Dendrogram::from_run(&run).is_none());
         }

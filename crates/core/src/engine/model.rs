@@ -202,7 +202,8 @@ impl<S> RockModel<S> {
         P: ArtifactPoint + Clone + Sync,
         S: Similarity<P> + Sync,
     {
-        let (result, report, labeler) = self.rock.try_run_labeled(data, &self.measure)?;
+        let (result, report, labeler) =
+            self.rock.session().fit_with_labeler(data, &self.measure)?;
         let dendrogram = Dendrogram::from_run(&result.sample_run);
         let fit = ModelFit {
             clustering: result.full_clustering(),

@@ -80,8 +80,9 @@ impl Stage for SampleStage {
     }
 }
 
-/// Builds the θ-neighbor graph (§3.1), serial or parallel by thread
-/// count. The result is bit-identical for every thread count.
+/// Builds the θ-neighbor graph (§3.1) with
+/// [`NeighborGraph::build`]. The result is bit-identical for every
+/// thread count.
 #[derive(Debug)]
 pub struct NeighborsStage<'a, PS> {
     /// Pairwise similarity source over the (sampled) points.
@@ -104,11 +105,7 @@ impl<PS: PairwiseSimilarity + Sync> Stage for NeighborsStage<'_, PS> {
     }
 
     fn run(self, _ctx: &mut RunCtx<'_>) -> Result<NeighborGraph, RockError> {
-        Ok(if self.threads > 1 {
-            NeighborGraph::build_parallel(self.sim, self.theta, self.threads)
-        } else {
-            NeighborGraph::build(self.sim, self.theta)
-        })
+        NeighborGraph::build(self.sim, self.theta, self.threads)
     }
 }
 
@@ -164,7 +161,8 @@ impl Stage for LinksStage<'_> {
 /// one is attached.
 ///
 /// With precomputed `links` the merge loop runs directly over them;
-/// without, the algorithm computes links itself (the journaled
+/// without, the stage computes the links itself and charges their bytes
+/// to the governor for the duration of the merge (the journaled
 /// whole-data path). The entry checkpoint reports under the phase whose
 /// memory charge it observes — [`Phase::Links`] when links were just
 /// charged by the pipeline, [`Phase::Neighbors`] when only the graph
@@ -199,20 +197,22 @@ impl Stage for MergeStage<'_> {
     }
 
     fn run(self, ctx: &mut RunCtx<'_>) -> Result<RockRun, RockError> {
-        match self.links {
-            Some(links) => self.algorithm.run_with_matrix_governed(
-                self.graph,
-                links,
-                &ctx.governor,
-                ctx.wal.as_deref_mut(),
-            ),
-            None => self.algorithm.run_governed(
-                self.graph,
-                self.threads,
-                &ctx.governor,
-                ctx.wal.as_deref_mut(),
-            ),
+        let governor = &ctx.governor;
+        if let Some(links) = self.links {
+            return self
+                .algorithm
+                .run(self.graph, links, governor, ctx.wal.as_deref_mut());
         }
+        governor.check(Phase::Links)?;
+        let links = LinkMatrix::compute_auto(self.graph, self.threads);
+        let link_bytes = links.memory_bytes() as u64;
+        governor.charge(link_bytes);
+        let result = governor.check(Phase::Links).and_then(|()| {
+            self.algorithm
+                .run(self.graph, &links, governor, ctx.wal.as_deref_mut())
+        });
+        governor.release(link_bytes);
+        result
     }
 }
 
@@ -266,8 +266,7 @@ where
             self.ftheta,
             &mut ctx.rng,
         )?;
-        let labeling =
-            labeler.label_all_governed(self.data, self.measure, self.threads, &ctx.governor)?;
+        let labeling = labeler.label_all(self.data, self.measure, self.threads, &ctx.governor)?;
         Ok((labeler, labeling))
     }
 }

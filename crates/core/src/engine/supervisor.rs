@@ -61,7 +61,7 @@ use std::ops::Range;
 /// [`crate::rock::Rock::shard_supervisor`]) and call
 /// [`ShardSupervisor::run`]. With `shards == 1` the result is
 /// bit-identical to the unsharded journaled pipeline
-/// ([`crate::rock::Rock::cluster_wal`]) at every thread count.
+/// ([`crate::rock::Rock::try_cluster`] with a WAL) at every thread count.
 #[derive(Clone, Debug)]
 pub struct ShardSupervisor {
     config: RockConfig,

@@ -15,7 +15,7 @@ use crate::similarity::Similarity;
 use rand::Rng;
 
 /// Minimum labeling cost (points × total labeling-set size — i.e.
-/// similarity evaluations) before [`Labeler::label_all_parallel`] spawns
+/// similarity evaluations) before [`Labeler::label_all`] spawns
 /// workers. Below this the whole pass is faster than thread spawn/join.
 /// Replaces the old `data.len() < 1024` bailout, which misjudged both
 /// huge labeling sets over few points and tiny sets over many.
@@ -232,108 +232,31 @@ impl<P: Clone> Labeler<P> {
         Ok(best.map(|(i, _)| i))
     }
 
-    /// Labels every point of `data`.
-    pub fn label_all<S: Similarity<P>>(&self, data: &[P], sim: &S) -> Labeling {
-        self.collect(data.iter().map(|p| self.label_point(p, sim)))
-    }
-
-    /// Labels every point of `data` using `threads` rayon workers.
+    /// Labels every point of `data` using `threads` rayon workers
+    /// (`threads = 1` scores sequentially on the calling thread), in
+    /// batches of [`Labeler::GOVERNED_BATCH`] points with `governor`
+    /// consulted between batches, so cancellation, deadlines and injected
+    /// kills (`with_kill_at(Phase::Labeling, batch)`) are observed within
+    /// one batch. An unlimited governor never interrupts.
     ///
     /// The labeling phase is embarrassingly parallel (each point is
     /// scored against the fixed Lᵢ sets independently); this is the path
-    /// for paper-scale data (114,586 transactions in §5.4). Each worker
-    /// accumulates its chunk's cluster counts and outlier tally into a
-    /// thread-local outcome buffer while writing assignment slots; the
-    /// buffers are merged once after the join, so no sequential pass
-    /// over the full assignment vector remains.
+    /// for paper-scale data (114,586 transactions in §5.4). Within a batch
+    /// worker `t` writes the assignment slots of its own contiguous chunk
+    /// of points in place, and the cluster counts are tallied once over
+    /// the finished assignments — so the result is bit-identical for
+    /// every thread count and batch boundary (pinned against the
+    /// fault-injection matrix in `tests/kernel_invariance.rs`).
     ///
-    /// **Determinism:** worker `t` writes the slots of its own chunk of
-    /// points in place, and the merged counts are sums of per-chunk
-    /// counts in which every point contributes exactly once — the result
-    /// is bit-identical to [`Labeler::label_all`] for every thread count
-    /// (pinned against the fault-injection matrix in
-    /// `tests/kernel_invariance.rs`).
-    ///
-    /// The parallel path engages on a cost basis (points × total
-    /// labeling-set size, [`PARALLEL_CUTOFF_SCORES`]) rather than a
-    /// point-count floor: few points against huge labeling sets
-    /// parallelise just as profitably as many points against small ones.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn label_all_parallel<S>(&self, data: &[P], sim: &S, threads: usize) -> Labeling
-    where
-        S: Similarity<P> + Sync,
-        P: Sync,
-    {
-        assert!(threads > 0, "need at least one thread");
-        let set_points: usize = self.sets.iter().map(Vec::len).sum();
-        let cost = data.len() as u64 * set_points.max(1) as u64;
-        if threads == 1 || cost < PARALLEL_CUTOFF_SCORES {
-            return self.label_all(data, sim);
-        }
-        let chunk = data.len().div_ceil(threads);
-        let num_chunks = data.len().div_ceil(chunk);
-        let mut assignments: Vec<Option<usize>> = vec![None; data.len()];
-        // Thread-local outcome buffers: (per-cluster counts, outliers).
-        let mut outcomes: Vec<(Vec<usize>, usize)> = Vec::with_capacity(num_chunks);
-        outcomes.resize_with(num_chunks, || (vec![0usize; self.sets.len()], 0));
-        rayon::scope(|scope| {
-            for ((part, slots), outcome) in data
-                .chunks(chunk)
-                .zip(assignments.chunks_mut(chunk))
-                .zip(outcomes.iter_mut())
-            {
-                scope.spawn(move |_| {
-                    let (counts, outliers) = outcome;
-                    // tidy:kernel-hot-loop — per-point scoring
-                    for (p, slot) in part.iter().zip(slots.iter_mut()) {
-                        let label = self.label_point(p, sim);
-                        match label {
-                            Some(c) => counts[c] += 1,
-                            None => *outliers += 1,
-                        }
-                        *slot = label;
-                    }
-                    // tidy:end-kernel-hot-loop
-                });
-            }
-        });
-        crate::perf::count_sim_evals(data.len() as u64 * set_points as u64);
-        // Single merge of the thread-local buffers: addition is
-        // commutative and each point lands in exactly one chunk, so the
-        // totals equal the sequential tally.
-        let mut cluster_counts = vec![0usize; self.sets.len()];
-        let mut num_outliers = 0usize;
-        for (counts, outliers) in &outcomes {
-            for (total, c) in cluster_counts.iter_mut().zip(counts) {
-                *total += c;
-            }
-            num_outliers += outliers;
-        }
-        Labeling {
-            assignments,
-            cluster_counts,
-            num_outliers,
-        }
-    }
-
-    /// Like [`Labeler::label_all_parallel`], but governed: labels `data`
-    /// in batches of [`Labeler::GOVERNED_BATCH`] points and consults
-    /// `governor` between batches, so cancellation, deadlines and
-    /// injected kills (`with_kill_at(Phase::Labeling, batch)`) are
-    /// observed within one batch.
-    ///
-    /// Labeling is point-independent, so the result is bit-identical to
-    /// [`Labeler::label_all`] whenever the governor lets the run finish,
-    /// for every thread count and batch boundary.
+    /// Workers engage on a cost basis (points × total labeling-set size,
+    /// [`PARALLEL_CUTOFF_SCORES`]) rather than a point-count floor: few
+    /// points against huge labeling sets parallelise just as profitably
+    /// as many points against small ones.
     ///
     /// # Errors
-    /// Returns [`RockError::Interrupted`] when the governor trips.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn label_all_governed<S>(
+    /// [`RockError::InvalidThreads`] if `threads == 0`,
+    /// [`RockError::Interrupted`] when the governor trips.
+    pub fn label_all<S>(
         &self,
         data: &[P],
         sim: &S,
@@ -344,40 +267,71 @@ impl<P: Clone> Labeler<P> {
         S: Similarity<P> + Sync,
         P: Sync,
     {
-        assert!(threads > 0, "need at least one thread");
+        if threads == 0 {
+            return Err(RockError::InvalidThreads(threads));
+        }
         governor.check(Phase::Labeling)?;
-        let mut assignments: Vec<Option<usize>> = Vec::with_capacity(data.len());
-        for (batch, part) in data.chunks(Self::GOVERNED_BATCH).enumerate() {
+        let mut assignments: Vec<Option<usize>> = vec![None; data.len()];
+        for (batch, (part, slots)) in data
+            .chunks(Self::GOVERNED_BATCH)
+            .zip(assignments.chunks_mut(Self::GOVERNED_BATCH))
+            .enumerate()
+        {
             // check_at applies the injected kill point; the unconditional
             // check keeps cancellation latency at one (coarse) batch even
             // for governors with a large merge check interval.
             governor.check_at(Phase::Labeling, batch as u64)?;
             governor.check(Phase::Labeling)?;
-            assignments.extend(self.label_all_parallel(part, sim, threads).assignments);
+            self.label_batch(part, sim, threads, slots);
         }
-        Ok(self.collect(assignments.into_iter()))
-    }
-
-    /// Points labeled between two governor checkpoints in
-    /// [`Labeler::label_all_governed`].
-    pub const GOVERNED_BATCH: usize = 4096;
-
-    fn collect(&self, labels: impl Iterator<Item = Option<usize>>) -> Labeling {
-        let mut assignments = Vec::new();
         let mut cluster_counts = vec![0usize; self.sets.len()];
         let mut num_outliers = 0usize;
-        for a in labels {
+        for a in &assignments {
             match a {
-                Some(c) => cluster_counts[c] += 1,
+                Some(c) => cluster_counts[*c] += 1,
                 None => num_outliers += 1,
             }
-            assignments.push(a);
         }
-        Labeling {
+        Ok(Labeling {
             assignments,
             cluster_counts,
             num_outliers,
+        })
+    }
+
+    /// Points labeled between two governor checkpoints in
+    /// [`Labeler::label_all`].
+    pub const GOVERNED_BATCH: usize = 4096;
+
+    /// The scoring kernel behind [`Labeler::label_all`]: writes the label
+    /// of `part[i]` into `slots[i]`, fanning contiguous chunks out to
+    /// `threads` workers once the batch is costly enough.
+    fn label_batch<S>(&self, part: &[P], sim: &S, threads: usize, slots: &mut [Option<usize>])
+    where
+        S: Similarity<P> + Sync,
+        P: Sync,
+    {
+        let set_points: usize = self.sets.iter().map(Vec::len).sum();
+        let cost = part.len() as u64 * set_points.max(1) as u64;
+        let score = |points: &[P], out: &mut [Option<usize>]| {
+            // tidy:kernel-hot-loop — per-point scoring
+            for (p, slot) in points.iter().zip(out.iter_mut()) {
+                *slot = self.label_point(p, sim);
+            }
+            // tidy:end-kernel-hot-loop
+        };
+        if threads == 1 || cost < PARALLEL_CUTOFF_SCORES {
+            score(part, slots);
+        } else {
+            let chunk = part.len().div_ceil(threads);
+            rayon::scope(|scope| {
+                for (points, out) in part.chunks(chunk).zip(slots.chunks_mut(chunk)) {
+                    let score = &score;
+                    scope.spawn(move |_| score(points, out));
+                }
+            });
         }
+        crate::perf::count_sim_evals(part.len() as u64 * set_points as u64);
     }
 }
 
@@ -387,6 +341,23 @@ mod tests {
     use crate::points::Transaction;
     use crate::similarity::Jaccard;
     use rand::{rngs::StdRng, SeedableRng};
+
+    /// The sequential reference labeling: every point scored in input
+    /// order, counts tallied in the same pass.
+    fn oracle<P: Clone, S: Similarity<P>>(labeler: &Labeler<P>, data: &[P], sim: &S) -> Labeling {
+        let assignments: Vec<Option<usize>> =
+            data.iter().map(|p| labeler.label_point(p, sim)).collect();
+        let mut cluster_counts = vec![0usize; labeler.num_clusters()];
+        for c in assignments.iter().flatten() {
+            cluster_counts[*c] += 1;
+        }
+        let num_outliers = assignments.iter().filter(|a| a.is_none()).count();
+        Labeling {
+            assignments,
+            cluster_counts,
+            num_outliers,
+        }
+    }
 
     fn two_cluster_sample() -> (Vec<Transaction>, Vec<Vec<u32>>) {
         let sample = vec![
@@ -426,7 +397,9 @@ mod tests {
             Transaction::from([10, 11, 12]),
             Transaction::from([55, 66, 77]),
         ];
-        let l = labeler.label_all(&data, &Jaccard);
+        let l = labeler
+            .label_all(&data, &Jaccard, 1, &RunGovernor::unlimited())
+            .unwrap();
         assert_eq!(l.assignments, vec![Some(0), Some(0), Some(1), None]);
         assert_eq!(l.cluster_counts, vec![2, 1]);
         assert_eq!(l.num_outliers, 1);
@@ -488,9 +461,11 @@ mod tests {
                 _ => Transaction::from([70 + i % 5, 90 + i % 7]),
             })
             .collect();
-        let serial = labeler.label_all(&data, &Jaccard);
-        for threads in [1, 2, 5] {
-            let par = labeler.label_all_parallel(&data, &Jaccard, threads);
+        let serial = oracle(&labeler, &data, &Jaccard);
+        for threads in [1, 2, 3, 8] {
+            let par = labeler
+                .label_all(&data, &Jaccard, threads, &RunGovernor::unlimited())
+                .unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -514,10 +489,12 @@ mod tests {
                 Transaction::from([base + i % 7, base + i % 11 + 20])
             })
             .collect();
-        let serial = labeler.label_all(&data, &Jaccard);
-        for threads in [2, 3, 8] {
+        let serial = oracle(&labeler, &data, &Jaccard);
+        for threads in [1, 2, 3, 8] {
             assert_eq!(
-                labeler.label_all_parallel(&data, &Jaccard, threads),
+                labeler
+                    .label_all(&data, &Jaccard, threads, &RunGovernor::unlimited())
+                    .unwrap(),
                 serial,
                 "threads={threads}"
             );
@@ -526,7 +503,6 @@ mod tests {
 
     #[test]
     fn governed_labeling_matches_parallel_and_observes_kills() {
-        use crate::governor::{Phase, RunGovernor};
         let (sample, clusters) = two_cluster_sample();
         let labeler = Labeler::full(&sample, &clusters, 0.4, 1.0 / 3.0);
         let data: Vec<Transaction> = (0..Labeler::<Transaction>::GOVERNED_BATCH as u32 + 500)
@@ -536,17 +512,17 @@ mod tests {
                 _ => Transaction::from([70 + i % 5, 90 + i % 7]),
             })
             .collect();
-        let serial = labeler.label_all(&data, &Jaccard);
-        for threads in [1, 2, 8] {
+        let serial = oracle(&labeler, &data, &Jaccard);
+        for threads in [1, 2, 3, 8] {
             let governed = labeler
-                .label_all_governed(&data, &Jaccard, threads, &RunGovernor::unlimited())
+                .label_all(&data, &Jaccard, threads, &RunGovernor::unlimited())
                 .unwrap();
             assert_eq!(governed, serial, "threads={threads}");
         }
         // An injected kill at batch 1 stops after the first batch.
         let killer = RunGovernor::unlimited().with_kill_at(Phase::Labeling, 1);
         assert!(matches!(
-            labeler.label_all_governed(&data, &Jaccard, 2, &killer),
+            labeler.label_all(&data, &Jaccard, 2, &killer),
             Err(RockError::Interrupted {
                 phase: Phase::Labeling,
                 ..
@@ -573,6 +549,11 @@ mod tests {
         assert!(matches!(
             Labeler::new(&sample, &clusters, 0.5, 1.4, 0.3, &mut rng),
             Err(RockError::InvalidTheta(_))
+        ));
+        let labeler = Labeler::full(&sample, &clusters, 0.4, 0.3);
+        assert!(matches!(
+            labeler.label_all(&sample, &Jaccard, 0, &RunGovernor::unlimited()),
+            Err(RockError::InvalidThreads(0))
         ));
     }
 

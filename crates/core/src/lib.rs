@@ -40,7 +40,7 @@
 //! ];
 //!
 //! let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-//! let run = rock.cluster(&baskets, &Jaccard);
+//! let run = rock.try_cluster(&baskets, &Jaccard, None).unwrap();
 //! assert_eq!(run.clustering.num_clusters(), 2);
 //! ```
 //!
@@ -50,7 +50,7 @@
 //! |---|---|---|
 //! | [`points`] | §3.1 | transactions, categorical records, schemas |
 //! | [`similarity`] | §3.1 | Jaccard, categorical w/ missing values, Lp, expert tables |
-//! | [`neighbors`] | §3.1 | θ-neighbor graph construction (serial & parallel) |
+//! | [`neighbors`] | §3.1 | θ-neighbor graph construction (one kernel, any thread count) |
 //! | [`links`] | §3.2, §4.4 | sparse (Fig. 4) and dense (A²) link computation (reference) |
 //! | [`links_matrix`] | §3.2, §4.4 | parallel CSR link kernels — the hot path |
 //! | [`goodness`] | §3.3, §4.2 | f(θ) estimates and the merge goodness measure |
@@ -71,7 +71,7 @@
 //! ## Robustness
 //!
 //! User-supplied inputs are guarded at the API boundary: configuration
-//! errors are typed [`RockError`]s, and the checked entry points
+//! errors are typed [`RockError`]s, and the entry points
 //! ([`rock::Rock::try_cluster`], [`rock::Rock::try_run`],
 //! [`labeling::Labeler::label_point_checked`]) surface non-finite
 //! similarities instead of mis-clustering or panicking. The companion

@@ -84,7 +84,7 @@ impl LinkTable {
 
     /// Iterates over `((i, j), count)` with `i < j`, arbitrary order.
     pub fn iter(&self) -> impl Iterator<Item = ((u32, u32), u32)> + '_ {
-        // tidy-allow(nondeterministic-iter): documented arbitrary-order accessor; the clustering consumer folds pairs into keyed maps and key-tie-broken heaps (run_with_links)
+        // tidy-allow(nondeterministic-iter): documented arbitrary-order accessor; consumers sort the pairs (LinkMatrix::from_table) or fold them order-independently
         self.counts.iter().map(|(&k, &v)| (k, v))
     }
 
@@ -238,7 +238,7 @@ mod tests {
         // with {1,2,3}; {1,6,7} has 2 links with {1,2,6} and 0 links with
         // transactions of the big cluster not containing 1, 2, 6 or 7.
         let ts = figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let links = compute_links_sparse(&g);
         let t126 = find(&ts, [1, 2, 6]);
         let t127 = find(&ts, [1, 2, 7]);
@@ -256,7 +256,7 @@ mod tests {
         // §1.2: pairs containing {1,2} in the same cluster have 5 common
         // neighbors; across clusters only 3.
         let ts = figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let links = compute_links_sparse(&g);
         let t123 = find(&ts, [1, 2, 3]);
         let t124 = find(&ts, [1, 2, 4]);
@@ -273,7 +273,7 @@ mod tests {
             let m = SimilarityMatrix::from_fn(120, |i, j| {
                 ((i * 31 + j * 17) % 100) as f64 / 100.0
             });
-            let g = NeighborGraph::build(&m, theta);
+            let g = NeighborGraph::build(&m, theta, 1).unwrap();
             let auto = compute_links_auto(&g);
             assert_eq!(auto, compute_links_sparse(&g), "theta {theta}");
             assert_eq!(auto, compute_links_dense(&g), "theta {theta}");
@@ -286,7 +286,7 @@ mod tests {
             let h = (i * 2654435761 + j * 97) % 100;
             h as f64 / 100.0
         });
-        let g = NeighborGraph::build(&m, 0.6);
+        let g = NeighborGraph::build(&m, 0.6, 1).unwrap();
         assert_eq!(compute_links_sparse(&g), compute_links_dense(&g));
     }
 
@@ -294,7 +294,7 @@ mod tests {
     fn links_match_adjacency_matrix_square() {
         // Cross-check against an O(n³) textbook matrix multiplication.
         let m = SimilarityMatrix::from_fn(40, |i, j| ((i * 31 + j * 17) % 10) as f64 / 10.0);
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = NeighborGraph::build(&m, 0.5, 1).unwrap();
         let n = g.len();
         let mut a = vec![vec![0u32; n]; n];
         for (i, row) in a.iter_mut().enumerate() {
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn per_point_adjacency_is_consistent() {
         let ts = figure1_transactions();
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let links = compute_links_sparse(&g);
         let adj = links.per_point();
         for (i, list) in adj.iter().enumerate() {
@@ -340,7 +340,7 @@ mod tests {
             Transaction::from([1, 3, 4]),
             Transaction::from([9]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4, 1).unwrap();
         let links = compute_links_sparse(&g);
         for i in 0..3 {
             assert_eq!(links.count(3, i), 0);

@@ -179,7 +179,7 @@ mod tests {
         for &(a, b) in edges {
             m.set(a, b, 1.0);
         }
-        NeighborGraph::build(&m, 0.9)
+        NeighborGraph::build(&m, 0.9, 1).unwrap()
     }
 
     /// Exhaustive reference: enumerate simple paths i→k→l→j.
@@ -232,7 +232,7 @@ mod tests {
                 let h = (i as u64 * 2654435761 + j as u64 * 97 + seed * 131) % 100;
                 h as f64 / 100.0
             });
-            let g = NeighborGraph::build(&m, 0.55);
+            let g = NeighborGraph::build(&m, 0.55, 1).unwrap();
             let t = compute_links_l3(&g);
             for i in 0..n {
                 for j in (i + 1)..n {
@@ -251,7 +251,7 @@ mod tests {
         let m = SimilarityMatrix::from_fn(90, |i, j| {
             ((i * j).wrapping_mul(2654435761) % 100) as f64 / 100.0
         });
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = NeighborGraph::build(&m, 0.5, 1).unwrap();
         let serial = compute_links_l3(&g);
         for threads in [1, 2, 3, 8] {
             assert_eq!(
@@ -297,7 +297,9 @@ mod tests {
         let g = NeighborGraph::build(
             &crate::similarity::PointsWith::new(&ts, crate::similarity::Jaccard),
             0.5,
-        );
+            1,
+        )
+        .unwrap();
         let l2 = crate::links::compute_links_sparse(&g);
         let l3 = compute_links_l3(&g);
         let goodness = crate::goodness::Goodness::new(
@@ -310,10 +312,15 @@ mod tests {
             2,
             crate::algorithm::OutlierPolicy::default(),
         );
-        let plain = algo.run_with_links(&g, &l2);
+        let merge = |links: &LinkTable| {
+            let links = crate::links_matrix::LinkMatrix::from_table(links);
+            let governor = crate::governor::RunGovernor::unlimited();
+            algo.run(&g, &links, &governor, None).unwrap()
+        };
+        let plain = merge(&l2);
         assert_eq!(plain.clustering.sizes(), vec![10, 4]);
         let combined = combine_links(&l2, &l3, 0.5);
-        let mixed = algo.run_with_links(&g, &combined);
+        let mixed = merge(&combined);
         assert_eq!(mixed.clustering.sizes(), vec![12, 2]);
     }
 }

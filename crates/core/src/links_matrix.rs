@@ -475,7 +475,7 @@ mod tests {
         let m = SimilarityMatrix::from_fn(n, |i, j| {
             ((i * j).wrapping_mul(2654435761) % 1000) as f64 / 1000.0
         });
-        NeighborGraph::build(&m, theta)
+        NeighborGraph::build(&m, theta, 1).unwrap()
     }
 
     #[test]
@@ -603,7 +603,7 @@ mod tests {
             let t = Transaction::from(items);
             ts.iter().position(|x| *x == t).expect("present")
         };
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
         let m = LinkMatrix::compute_auto(&g, 2);
         assert_eq!(m.count(find([1, 2, 6]), find([1, 2, 7])), 5);
         assert_eq!(m.count(find([1, 2, 6]), find([1, 2, 3])), 3);

@@ -8,20 +8,22 @@
 //!
 //! Building the graph is the O(n²) pairwise scan the paper assumes (§4.4:
 //! "the list of neighbors for every point can be computed in O(n²) time").
-//! [`NeighborGraph::build_parallel`] shards the *upper triangle* across
-//! rayon scoped workers — each unordered pair is evaluated exactly once,
-//! by the worker owning its smaller endpoint — and the hit edges are
-//! assembled into exact-capacity adjacency lists afterwards. The shard
-//! concatenation reproduces the serial scan's ascending edge order, so
-//! the result is bit-identical to the sequential scan for every thread
-//! count (see DESIGN.md §"Performance model").
+//! [`NeighborGraph::build`] shards the *upper triangle* across rayon
+//! scoped workers — each unordered pair is evaluated exactly once, by the
+//! worker owning its smaller endpoint — and the hit edges are assembled
+//! into exact-capacity adjacency lists afterwards. The shard
+//! concatenation is the ascending `(i, j)` order of a plain double loop,
+//! so the result is bit-identical for every thread count (see DESIGN.md
+//! §"Performance model").
 
+use crate::error::RockError;
 use crate::similarity::PairwiseSimilarity;
 use crate::util::balanced_ranges;
+use std::ops::Range;
 
 /// Below this many pair evaluations the upper-triangle scan completes in
 /// tens of microseconds and thread spawn/join dominates, so
-/// [`NeighborGraph::build_parallel`] falls back to the serial scan.
+/// [`NeighborGraph::build`] scans the whole triangle inline as one shard.
 const PARALLEL_CUTOFF_PAIRS: u64 = 32 * 1024;
 
 /// The θ-neighbor graph of a point set: `lists[i]` holds the ids of all
@@ -33,42 +35,8 @@ pub struct NeighborGraph {
 }
 
 impl NeighborGraph {
-    /// Builds the neighbor graph with a single-threaded pairwise scan.
-    ///
-    /// Each unordered pair is evaluated exactly once.
-    ///
-    /// # Panics
-    /// Panics if `theta` is not in `[0, 1]` or the point set has more than
-    /// `u32::MAX` points.
-    pub fn build<S: PairwiseSimilarity>(sim: &S, theta: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&theta),
-            "theta must be in [0, 1], got {theta}"
-        );
-        let n = sim.len();
-        assert!(u32::try_from(n).is_ok(), "too many points");
-        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if sim.sim(i, j) >= theta {
-                    lists[i].push(j as u32);
-                    lists[j].push(i as u32);
-                }
-            }
-        }
-        // The upper-triangle scan happens to emit each list in ascending
-        // order, but the "lists sorted" invariant every consumer relies on
-        // (binary_search in are_neighbors, merge joins in the link
-        // kernels) is enforced here, in one place, rather than implied by
-        // push order. Sorting an already-sorted run is a linear-time scan
-        // for the pattern-defeating quicksort behind sort_unstable.
-        for l in &mut lists {
-            l.sort_unstable();
-        }
-        NeighborGraph { lists, theta }
-    }
-
-    /// Builds the neighbor graph using `threads` rayon workers.
+    /// Builds the neighbor graph using `threads` rayon workers
+    /// (`threads = 1` scans sequentially on the calling thread).
     ///
     /// The upper triangle is sharded into contiguous row ranges balanced
     /// by row length (row `i` holds `n−1−i` pairs), one rayon task per
@@ -76,57 +44,66 @@ impl NeighborGraph {
     /// worker owning its smaller endpoint. Workers append hit edges to a
     /// single per-worker buffer reused across all their rows; the final
     /// adjacency lists are then assembled in one degree-count +
-    /// exact-capacity scatter pass with no per-row reallocation. (The
-    /// previous design evaluated every pair twice to avoid
-    /// synchronisation, which could never beat the serial scan by more
-    /// than ~2× and lost to it outright on few cores.)
+    /// exact-capacity scatter pass with no per-row reallocation. A single
+    /// shard (one thread, or fewer than `PARALLEL_CUTOFF_PAIRS` pairs)
+    /// runs inline without a rayon scope.
     ///
-    /// **Determinism:** the shard buffers concatenate to the serial
-    /// scan's ascending `(i, j)` edge order — for any shard split — so
-    /// every list fills ascending (smaller partners first) and the
-    /// result is bit-identical to [`NeighborGraph::build`] for every
-    /// `threads`.
+    /// **Determinism:** the shard buffers concatenate to the ascending
+    /// `(i, j)` edge order of a sequential double loop — for any shard
+    /// split — so every list fills ascending (smaller partners first) and
+    /// the result is bit-identical for every `threads`.
+    ///
+    /// # Errors
+    /// [`RockError::InvalidTheta`] if `theta ∉ [0, 1]`,
+    /// [`RockError::InvalidThreads`] if `threads == 0`.
     ///
     /// # Panics
-    /// Panics if `theta ∉ [0, 1]` or `threads == 0`.
-    pub fn build_parallel<S: PairwiseSimilarity + Sync>(
+    /// Panics if the point set has more than `u32::MAX` points.
+    pub fn build<S: PairwiseSimilarity + Sync>(
         sim: &S,
         theta: f64,
         threads: usize,
-    ) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&theta),
-            "theta must be in [0, 1], got {theta}"
-        );
-        assert!(threads > 0, "need at least one thread");
+    ) -> Result<Self, RockError> {
+        if !(0.0..=1.0).contains(&theta) {
+            return Err(RockError::InvalidTheta(theta));
+        }
+        if threads == 0 {
+            return Err(RockError::InvalidThreads(threads));
+        }
         let n = sim.len();
         assert!(u32::try_from(n).is_ok(), "too many points");
         let pairs = n as u64 * (n as u64).saturating_sub(1) / 2;
-        if threads == 1 || pairs < PARALLEL_CUTOFF_PAIRS {
-            return Self::build(sim, theta);
-        }
-        let shards = balanced_ranges(n, threads, |i| (n - 1 - i) as u64);
-        let mut edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(shards.len());
-        edges.resize_with(shards.len(), Vec::new);
-        rayon::scope(|scope| {
-            for (range, out) in shards.iter().zip(edges.iter_mut()) {
-                let range = range.clone();
-                scope.spawn(move |_| {
-                    // One hit buffer per worker, reused across its rows.
-                    let mut hits: Vec<(u32, u32)> = Vec::new();
-                    // tidy:kernel-hot-loop — upper-triangle similarity scan
-                    for i in range {
-                        for j in (i + 1)..n {
-                            if sim.sim(i, j) >= theta {
-                                hits.push((i as u32, j as u32));
-                            }
-                        }
+        // One shard's scan: every pair (i, j > i) whose smaller endpoint
+        // lies in `rows`, in ascending (i, j) order.
+        let scan = |rows: Range<usize>| {
+            // One hit buffer per worker, reused across its rows.
+            let mut hits: Vec<(u32, u32)> = Vec::new();
+            // tidy:kernel-hot-loop — upper-triangle similarity scan
+            for i in rows {
+                for j in (i + 1)..n {
+                    if sim.sim(i, j) >= theta {
+                        hits.push((i as u32, j as u32));
                     }
-                    // tidy:end-kernel-hot-loop
-                    *out = hits;
-                });
+                }
             }
-        });
+            // tidy:end-kernel-hot-loop
+            hits
+        };
+        let edges: Vec<Vec<(u32, u32)>> = if threads == 1 || pairs < PARALLEL_CUTOFF_PAIRS {
+            vec![scan(0..n)]
+        } else {
+            let shards = balanced_ranges(n, threads, |i| (n - 1 - i) as u64);
+            let mut edges: Vec<Vec<(u32, u32)>> = Vec::with_capacity(shards.len());
+            edges.resize_with(shards.len(), Vec::new);
+            rayon::scope(|scope| {
+                for (range, out) in shards.iter().zip(edges.iter_mut()) {
+                    let range = range.clone();
+                    let scan = &scan;
+                    scope.spawn(move |_| *out = scan(range));
+                }
+            });
+            edges
+        };
         crate::perf::count_sim_evals(pairs);
         // Exact-capacity assembly. Scanning edges in ascending (i, j)
         // order fills each list ascending: row r first receives its
@@ -146,7 +123,7 @@ impl NeighborGraph {
         debug_assert!(lists
             .iter()
             .all(|l| l.windows(2).all(|w| w[0] < w[1])));
-        NeighborGraph { lists, theta }
+        Ok(NeighborGraph { lists, theta })
     }
 
     /// Constructs a graph directly from adjacency lists (for tests and
@@ -251,6 +228,25 @@ mod tests {
     use crate::points::Transaction;
     use crate::similarity::{Jaccard, PointsWith, SimilarityMatrix};
 
+    /// The sequential reference scan: a plain double loop over the upper
+    /// triangle, mirrored into sorted adjacency lists.
+    fn oracle<S: PairwiseSimilarity>(sim: &S, theta: f64) -> NeighborGraph {
+        let n = sim.len();
+        let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for i in 0..n {
+            for j in (i + 1)..n {
+                if sim.sim(i, j) >= theta {
+                    lists[i].push(j as u32);
+                }
+            }
+        }
+        NeighborGraph::from_lists(lists, theta)
+    }
+
+    fn build1<S: PairwiseSimilarity + Sync>(sim: &S, theta: f64) -> NeighborGraph {
+        NeighborGraph::build(sim, theta, 1).unwrap()
+    }
+
     /// §1.1 Example 1.1's four transactions.
     fn example_1_1() -> Vec<Transaction> {
         vec![
@@ -267,7 +263,7 @@ mod tests {
         // one item in common": any θ in (0, 0.2] realises this for these
         // transactions. {6} is isolated.
         let pts = example_1_1();
-        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 0.1);
+        let g = build1(&PointsWith::new(&pts, Jaccard), 0.1);
         assert_eq!(g.neighbors(0), &[1, 2]);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbors(2), &[0, 1]);
@@ -282,7 +278,7 @@ mod tests {
             Transaction::from([1, 2]),
             Transaction::from([1, 3]),
         ];
-        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 1.0);
+        let g = build1(&PointsWith::new(&pts, Jaccard), 1.0);
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0]);
         assert_eq!(g.degree(2), 0);
@@ -291,7 +287,7 @@ mod tests {
     #[test]
     fn theta_zero_connects_everything() {
         let pts = example_1_1();
-        let g = NeighborGraph::build(&PointsWith::new(&pts, Jaccard), 0.0);
+        let g = build1(&PointsWith::new(&pts, Jaccard), 0.0);
         for i in 0..4 {
             assert_eq!(g.degree(i), 3, "point {i}");
         }
@@ -302,7 +298,7 @@ mod tests {
     #[test]
     fn lists_are_sorted_and_symmetric() {
         let m = SimilarityMatrix::from_fn(20, |i, j| if (i + j) % 3 == 0 { 0.9 } else { 0.1 });
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = build1(&m, 0.5);
         for i in 0..20 {
             let l = g.neighbors(i);
             assert!(l.windows(2).all(|w| w[0] < w[1]), "unsorted list at {i}");
@@ -314,16 +310,16 @@ mod tests {
 
     #[test]
     fn sorted_invariant_holds_for_both_builders() {
-        // The "lists sorted" invariant is enforced by the post-pass sort in
-        // `build` and by per-row ascending scans in `build_parallel`; both
-        // must yield strictly ascending (no duplicate), symmetric,
-        // self-loop-free lists.
+        // The "lists sorted" invariant comes from the ascending shard scans
+        // and the in-order assembly; the inline single shard and the rayon
+        // fan-out must both yield strictly ascending (no duplicate),
+        // symmetric, self-loop-free lists.
         let m = SimilarityMatrix::from_fn(301, |i, j| {
             ((i * j).wrapping_mul(2654435761) % 1000) as f64 / 1000.0
         });
         for (which, g) in [
-            ("serial", NeighborGraph::build(&m, 0.55)),
-            ("parallel", NeighborGraph::build_parallel(&m, 0.55, 4)),
+            ("serial", build1(&m, 0.55)),
+            ("parallel", NeighborGraph::build(&m, 0.55, 4).unwrap()),
         ] {
             for i in 0..g.len() {
                 let l = g.neighbors(i);
@@ -349,9 +345,9 @@ mod tests {
             let h = (i * 2654435761 + j * 40503) % 1000;
             h as f64 / 1000.0
         });
-        let serial = NeighborGraph::build(&m, 0.7);
+        let serial = oracle(&m, 0.7);
         for threads in [1, 2, 3, 8] {
-            let par = NeighborGraph::build_parallel(&m, 0.7, threads);
+            let par = NeighborGraph::build(&m, 0.7, threads).unwrap();
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -374,7 +370,7 @@ mod tests {
             ((i * j).wrapping_mul(2654435761) % 1000) as f64 / 1000.0
         });
         let counting = Counting(m, AtomicU64::new(0));
-        let _ = NeighborGraph::build_parallel(&counting, 0.5, 4);
+        let _ = NeighborGraph::build(&counting, 0.5, 4).unwrap();
         assert_eq!(
             counting.1.load(Ordering::Relaxed),
             (n as u64) * (n as u64 - 1) / 2,
@@ -393,16 +389,23 @@ mod tests {
     #[test]
     fn empty_graph() {
         let m = SimilarityMatrix::new(0);
-        let g = NeighborGraph::build(&m, 0.5);
+        let g = build1(&m, 0.5);
         assert!(g.is_empty());
         assert_eq!(g.average_degree(), 0.0);
         assert_eq!(g.max_degree(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "theta must be in [0, 1]")]
     fn invalid_theta_panics() {
+        // Out-of-range θ and a zero thread count are typed errors.
         let m = SimilarityMatrix::new(2);
-        let _ = NeighborGraph::build(&m, 1.5);
+        assert!(matches!(
+            NeighborGraph::build(&m, 1.5, 1),
+            Err(RockError::InvalidTheta(t)) if t == 1.5
+        ));
+        assert!(matches!(
+            NeighborGraph::build(&m, 0.5, 0),
+            Err(RockError::InvalidThreads(0))
+        ));
     }
 }

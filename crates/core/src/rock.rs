@@ -2,23 +2,22 @@
 //! with links, label the remaining data.
 //!
 //! [`Rock`] is configured through [`RockBuilder`]; see the crate docs for
-//! a worked example. The governed entry points ([`Rock::try_run`],
-//! [`Rock::cluster_wal`], [`Rock::resume_cluster`]) are thin wrappers
-//! over the staged [`crate::engine::Pipeline`]; [`Rock::session`] hands
-//! out the pipeline directly for custom stage compositions.
+//! a worked example. Every entry point ([`Rock::try_run`],
+//! [`Rock::try_cluster`], [`Rock::resume_cluster`], …) is a thin wrapper
+//! over the staged, governed [`crate::engine::Pipeline`];
+//! [`Rock::session`] hands out the pipeline directly for custom stage
+//! compositions.
 
-use crate::algorithm::{OutlierPolicy, RockAlgorithm, RockRun, WeedPolicy};
+use crate::algorithm::{OutlierPolicy, RockRun, WeedPolicy};
 use crate::cluster::Clustering;
 use crate::engine::Pipeline;
 use crate::error::RockError;
-use crate::goodness::{BasketF, FTheta, Goodness, GoodnessKind};
+use crate::goodness::{BasketF, FTheta, GoodnessKind};
 use crate::governor::{CancellationToken, DegradationPolicy, RunGovernor};
-use crate::labeling::{Labeler, Labeling};
-use crate::neighbors::NeighborGraph;
+use crate::labeling::Labeling;
 use crate::report::RunReport;
-use crate::similarity::{CheckedSimilarity, PairwiseSimilarity, PointsWith, Similarity};
+use crate::similarity::{PairwiseSimilarity, PointsWith, Similarity};
 use crate::wal::MergeWal;
-use rand::{rngs::StdRng, SeedableRng};
 use std::time::Duration;
 
 /// Validated configuration of a ROCK run.
@@ -288,7 +287,7 @@ impl RockBuilder {
 ///     Transaction::from([7, 9, 10]),
 /// ];
 /// let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-/// let run = rock.cluster(&baskets, &Jaccard);
+/// let run = rock.try_cluster(&baskets, &Jaccard, None).unwrap();
 /// assert_eq!(run.clustering.num_clusters(), 2);
 /// ```
 #[derive(Clone, Debug)]
@@ -299,7 +298,7 @@ pub struct Rock {
     governor: RunGovernor,
 }
 
-/// Output of the full sampled pipeline ([`Rock::run`]).
+/// Output of the full sampled pipeline ([`Rock::try_run`]).
 #[derive(Clone, Debug)]
 pub struct RockResult {
     /// Indices (into the input data) of the clustered sample.
@@ -344,33 +343,8 @@ impl Rock {
         &self.governor
     }
 
-    fn build_graph<PS: PairwiseSimilarity + Sync>(&self, sim: &PS) -> NeighborGraph {
-        if self.config.threads > 1 {
-            NeighborGraph::build_parallel(sim, self.config.theta, self.config.threads)
-        } else {
-            NeighborGraph::build(sim, self.config.theta)
-        }
-    }
-
-    fn goodness(&self) -> Goodness {
-        Goodness::new(
-            self.config.theta,
-            crate::goodness::ConstantF(self.config.ftheta),
-            self.config.goodness_kind,
-        )
-    }
-
-    fn algorithm(&self) -> RockAlgorithm {
-        let algorithm = RockAlgorithm::new(self.goodness(), self.config.k, self.config.outliers);
-        match self.config.hash_seed {
-            Some(seed) => algorithm.with_hash_seed(seed),
-            None => algorithm,
-        }
-    }
-
     /// A staged [`Pipeline`] over this driver's configuration and
-    /// governor — the engine behind [`Rock::try_run`],
-    /// [`Rock::cluster_wal`] and the resume entry points, exposed for
+    /// governor — the engine behind every entry point here, exposed for
     /// custom stage compositions (attach a WAL, run individual stages,
     /// inspect the run context).
     ///
@@ -380,147 +354,61 @@ impl Rock {
         Pipeline::new(self.config, self.governor.clone())
     }
 
-    fn rng(&self) -> StdRng {
-        match self.config.seed {
-            Some(s) => StdRng::seed_from_u64(s),
-            None => StdRng::from_os_rng(),
-        }
-    }
-
-    /// Clusters `points` in memory (no sampling/labeling).
-    pub fn cluster<P, S>(&self, points: &[P], measure: &S) -> RockRun
-    where
-        S: Similarity<P> + Sync,
-        P: Sync,
-    {
-        let pw = PointsWith::new(points, measure);
-        self.cluster_pairwise(&pw)
-    }
-
-    /// Clusters a point set given only index-pairwise similarities —
-    /// e.g. an expert [`crate::similarity::SimilarityMatrix`] (§1.2).
-    pub fn cluster_pairwise<PS: PairwiseSimilarity + Sync>(&self, sim: &PS) -> RockRun {
-        let graph = self.build_graph(sim);
-        self.algorithm().run_parallel(&graph, self.config.threads)
-    }
-
-    /// Clusters a prebuilt neighbor graph.
+    /// Clusters `points` in memory (no sampling/labeling) under the
+    /// configured governor, journaling every merge decision to `wal` if
+    /// one is given.
     ///
-    /// The graph's θ should match the configured θ for the goodness
-    /// normalisation to be meaningful.
-    pub fn cluster_graph(&self, graph: &NeighborGraph) -> RockRun {
-        self.algorithm().run_parallel(graph, self.config.threads)
-    }
-
-    /// Like [`Rock::cluster`], but guards the API boundary against a
-    /// misbehaving measure: any NaN/±∞ similarity is surfaced as
-    /// [`RockError::NonFiniteSimilarity`] instead of silently skewing the
-    /// neighbor graph (NaN compares below every θ) or panicking later in
-    /// the merge heap.
+    /// The measure is guarded at the API boundary: any NaN/±∞ similarity
+    /// is surfaced as [`RockError::NonFiniteSimilarity`] instead of
+    /// silently skewing the neighbor graph (NaN compares below every θ)
+    /// or panicking later in the merge heap.
+    ///
+    /// On interruption the error is [`RockError::Interrupted`], with
+    /// `resumable: true` when journaling: `wal` then holds a replayable
+    /// prefix — persist it with [`MergeWal::write_to`] and continue later
+    /// with [`Rock::resume_cluster`]. The degradation policy deliberately
+    /// does *not* apply here: a whole-data run prefers an exact resume
+    /// over an approximate finish.
     ///
     /// # Errors
-    /// Returns [`RockError::NonFiniteSimilarity`] if `measure` returned a
-    /// non-finite value for any pair.
-    pub fn try_cluster<P, S>(&self, points: &[P], measure: &S) -> Result<RockRun, RockError>
-    where
-        S: Similarity<P> + Sync,
-        P: Sync,
-    {
-        let checked = CheckedSimilarity::new(measure);
-        let pw = PointsWith::new(points, &checked);
-        let graph = self.build_graph(&pw);
-        if let Some(e) = checked.error() {
-            return Err(e);
-        }
-        Ok(self.algorithm().run_parallel(&graph, self.config.threads))
-    }
-
-    /// Like [`Rock::cluster_pairwise`], but with the non-finite guard of
-    /// [`Rock::try_cluster`].
-    ///
-    /// # Errors
-    /// Returns [`RockError::NonFiniteSimilarity`] if `sim` returned a
-    /// non-finite value for any pair.
-    pub fn try_cluster_pairwise<PS: PairwiseSimilarity + Sync>(
-        &self,
-        sim: &PS,
-    ) -> Result<RockRun, RockError> {
-        let checked = CheckedSimilarity::new(sim);
-        let graph = self.build_graph(&checked);
-        if let Some(e) = checked.error() {
-            return Err(e);
-        }
-        Ok(self.algorithm().run_parallel(&graph, self.config.threads))
-    }
-
-    /// The full Fig.-2 pipeline: draw a random sample (if configured),
-    /// cluster it, then label all of `data`.
-    ///
-    /// Without a configured sample size the whole data set is clustered
-    /// and the labeling phase still runs (useful for assigning outliers
-    /// and for uniform reporting).
-    pub fn run<P, S>(&self, data: &[P], measure: &S) -> RockResult
-    where
-        P: Clone + Sync,
-        S: Similarity<P> + Sync,
-    {
-        let mut rng = self.rng();
-        let sample_indices = match self.config.sample_size {
-            Some(size) if size < data.len() => {
-                crate::sampling::sample_indices(data.len(), size, &mut rng)
-            }
-            _ => (0..data.len()).collect(),
-        };
-        let sample: Vec<P> = sample_indices.iter().map(|&i| data[i].clone()).collect();
-        let sample_run = self.cluster(&sample, measure);
-        let labeler = Labeler::new(
-            &sample,
-            &sample_run.clustering.clusters,
-            self.config.labeling_fraction,
-            self.config.theta,
-            self.config.ftheta,
-            &mut rng,
-        )
-        // tidy-allow(panic): Labeler::new revalidates parameters already validated by RockBuilder::build, so it cannot fail here
-        .expect("labeling parameters validated by RockBuilder::build");
-        let labeling = labeler.label_all_parallel(data, measure, self.config.threads);
-        RockResult {
-            sample_indices,
-            sample_run,
-            labeling,
-        }
-    }
-
-    /// Clusters `points` under the configured governor while journaling
-    /// every merge decision to `wal`.
-    ///
-    /// On interruption the error is [`RockError::Interrupted`] with
-    /// `resumable: true` and `wal` holds a replayable prefix — persist it
-    /// with [`MergeWal::write_to`] and continue later with
-    /// [`Rock::resume_cluster`]. The degradation policy deliberately does
-    /// *not* apply here: a WAL-journaled run prefers an exact resume over
-    /// an approximate finish.
-    ///
-    /// # Errors
-    /// [`RockError::Interrupted`] when the governor trips.
-    pub fn cluster_wal<P, S>(
+    /// [`RockError::NonFiniteSimilarity`] if `measure` returned a
+    /// non-finite value for any pair, [`RockError::Interrupted`] when the
+    /// governor trips.
+    pub fn try_cluster<P, S>(
         &self,
         points: &[P],
         measure: &S,
-        wal: &mut MergeWal,
+        wal: Option<&mut MergeWal>,
     ) -> Result<RockRun, RockError>
     where
         S: Similarity<P> + Sync,
         P: Sync,
     {
-        let pw = PointsWith::new(points, measure);
-        self.session().attach_wal(wal).fit_wal(&pw)
+        self.try_cluster_pairwise(&PointsWith::new(points, measure), wal)
     }
 
-    /// Resumes an interrupted [`Rock::cluster_wal`] run from the bytes of
-    /// its merge WAL, rebuilding the neighbor graph from `points` (which
-    /// must be the same points, in the same order). The final clustering
-    /// and merge trace are bit-identical to an uninterrupted run.
+    /// [`Rock::try_cluster`] for a point set given only index-pairwise
+    /// similarities — e.g. an expert
+    /// [`crate::similarity::SimilarityMatrix`] (§1.2).
+    ///
+    /// # Errors
+    /// As [`Rock::try_cluster`].
+    pub fn try_cluster_pairwise<PS: PairwiseSimilarity + Sync>(
+        &self,
+        sim: &PS,
+        wal: Option<&mut MergeWal>,
+    ) -> Result<RockRun, RockError> {
+        match wal {
+            Some(wal) => self.session().attach_wal(wal).fit_wal(sim),
+            None => self.session().fit_wal(sim),
+        }
+    }
+
+    /// Resumes an interrupted journaled [`Rock::try_cluster`] run from
+    /// the bytes of its merge WAL, rebuilding the neighbor graph from
+    /// `points` (which must be the same points, in the same order). The
+    /// final clustering and merge trace are bit-identical to an
+    /// uninterrupted run.
     ///
     /// A fresh self-contained continuation log is written to `wal_out`
     /// if given, so a re-interrupted resume can itself be resumed.
@@ -565,30 +453,6 @@ impl Rock {
         crate::engine::ShardSupervisor::new(self.config, shard, self.governor.clone())
     }
 
-    /// Runs the supervised shard-and-merge pipeline over `points`: the
-    /// one-call form of [`Rock::shard_supervisor`] +
-    /// [`run`](crate::engine::supervisor::ShardSupervisor::run). With
-    /// `shard.shards == 1` the clustering is bit-identical to
-    /// [`Rock::cluster_wal`]; quarantined shards degrade the result with
-    /// provenance in the report instead of failing the run.
-    ///
-    /// # Errors
-    /// Invalid shard configuration, or [`RockError::Interrupted`] when
-    /// this driver's own (parent) governor is cancelled or out of
-    /// budget — per-shard faults quarantine instead of erroring.
-    pub fn cluster_sharded<P, S>(
-        &self,
-        points: &[P],
-        measure: &S,
-        shard: crate::engine::ShardConfig,
-    ) -> Result<crate::engine::ShardedRun, RockError>
-    where
-        P: Clone + Sync,
-        S: Similarity<P> + Sync,
-    {
-        self.shard_supervisor(shard)?.run(points, measure)
-    }
-
     /// Resumes from a snapshot-bearing WAL **without** the original data:
     /// the merge state is restored from the latest snapshot and links are
     /// not recomputed. Fails with [`RockError::WalMismatch`] if the log
@@ -607,8 +471,9 @@ impl Rock {
         }
     }
 
-    /// The full Fig.-2 pipeline with the robustness guarantees of the
-    /// checked entry points, plus a structured [`RunReport`] (per-phase
+    /// The full Fig.-2 pipeline: draw a random sample (if configured),
+    /// cluster it, then label all of `data` — with the non-finite guard
+    /// of [`Rock::try_cluster`], plus a structured [`RunReport`] (per-phase
     /// wall-clock timings and [`crate::perf`] work counters,
     /// degradation/interruption outcome, outlier count) alongside the
     /// results.
@@ -617,9 +482,9 @@ impl Rock {
     /// cancellation token are checked at every phase boundary, every
     /// merge batch and every labeling batch, and the configured
     /// [`DegradationPolicy`] is applied on a budget trip (recorded in
-    /// the report's `degraded` note). With the default unlimited
-    /// governor, produces results identical to [`Rock::run`] under the
-    /// same seed: the two share the sampling and labeling RNG stream.
+    /// the report's `degraded` note). Without a configured sample size
+    /// the whole data set is clustered and the labeling phase still runs
+    /// (useful for assigning outliers and for uniform reporting).
     ///
     /// # Errors
     /// Returns [`RockError::NonFiniteSimilarity`] if `measure` returned a
@@ -632,26 +497,6 @@ impl Rock {
         S: Similarity<P> + Sync,
     {
         self.session().fit(data, measure)
-    }
-
-    /// [`Rock::try_run`], additionally returning the
-    /// [`crate::labeling::Labeler`] whose Lᵢ sets produced the labeling —
-    /// hand it to [`crate::artifact::ModelArtifact::from_labeled`] to
-    /// persist a fitted model whose reloaded labeling is bit-identical
-    /// to this run's.
-    ///
-    /// # Errors
-    /// As [`Rock::try_run`].
-    pub fn try_run_labeled<P, S>(
-        &self,
-        data: &[P],
-        measure: &S,
-    ) -> Result<(RockResult, RunReport, crate::labeling::Labeler<P>), RockError>
-    where
-        P: Clone + Sync,
-        S: Similarity<P> + Sync,
-    {
-        self.session().fit_with_labeler(data, measure)
     }
 }
 
@@ -724,7 +569,7 @@ mod tests {
     fn cluster_separates_baskets() {
         let data = two_basket_clusters(20);
         let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-        let run = rock.cluster(&data, &Jaccard);
+        let run = rock.try_cluster(&data, &Jaccard, None).unwrap();
         assert_eq!(run.clustering.num_clusters(), 2);
         assert_eq!(run.clustering.sizes(), vec![20, 20]);
     }
@@ -740,7 +585,7 @@ mod tests {
             .seed(42)
             .build()
             .unwrap();
-        let result = rock.run(&data, &Jaccard);
+        let (result, _) = rock.try_run(&data, &Jaccard).unwrap();
         assert_eq!(result.sample_indices.len(), 16);
         let full = result.full_clustering();
         assert_eq!(full.num_clusters(), 2);
@@ -763,7 +608,7 @@ mod tests {
             .labeling_fraction(1.0)
             .build()
             .unwrap();
-        let result = rock.run(&data, &Jaccard);
+        let (result, _) = rock.try_run(&data, &Jaccard).unwrap();
         assert_eq!(result.sample_indices.len(), data.len());
         assert_eq!(result.labeling.assignments.len(), data.len());
     }
@@ -779,10 +624,17 @@ mod tests {
             .seed(7)
             .build()
             .unwrap();
-        let plain = rock.run(&data, &Jaccard);
         let (checked, report) = rock.try_run(&data, &Jaccard).unwrap();
-        assert_eq!(plain.sample_indices, checked.sample_indices);
-        assert_eq!(plain.labeling, checked.labeling);
+        // The sample phase clusters exactly what try_cluster would.
+        let sample: Vec<Transaction> = checked
+            .sample_indices
+            .iter()
+            .map(|&i| data[i].clone())
+            .collect();
+        let plain = rock.try_cluster(&sample, &Jaccard, None).unwrap();
+        assert_eq!(plain.clustering, checked.sample_run.clustering);
+        assert_eq!(plain.merges, checked.sample_run.merges);
+        assert_eq!(checked.labeling.assignments.len(), data.len());
         assert_eq!(report.records_read, data.len() as u64);
         assert_eq!(report.outliers, checked.labeling.num_outliers as u64);
         let phases: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
@@ -809,7 +661,7 @@ mod tests {
         let data = two_basket_clusters(5);
         let rock = Rock::builder().theta(0.5).clusters(2).seed(1).build().unwrap();
         assert!(matches!(
-            rock.try_cluster(&data, &NanSim),
+            rock.try_cluster(&data, &NanSim, None),
             Err(RockError::NonFiniteSimilarity { .. })
         ));
         assert!(matches!(
@@ -824,7 +676,7 @@ mod tests {
         let data = two_basket_clusters(10);
         let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
         let faulty = FaultySimilarity::new(Jaccard, 3, 0.2);
-        let outcome = rock.try_cluster(&data, &faulty);
+        let outcome = rock.try_cluster(&data, &faulty, None);
         if faulty.injected() > 0 {
             assert!(matches!(
                 outcome,
@@ -855,7 +707,7 @@ mod tests {
         }
         let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
         assert!(matches!(
-            rock.try_cluster_pairwise(&NanPairs),
+            rock.try_cluster_pairwise(&NanPairs, None),
             Err(RockError::NonFiniteSimilarity { .. })
         ));
     }
@@ -987,7 +839,7 @@ mod tests {
     fn cluster_wal_kill_and_resume_is_bit_identical() {
         let data = two_basket_clusters(20);
         let plain = Rock::builder().seed(1).build().unwrap();
-        let baseline = plain.cluster(&data, &Jaccard);
+        let baseline = plain.try_cluster(&data, &Jaccard, None).unwrap();
 
         let killed = Rock::builder()
             .seed(1)
@@ -995,7 +847,9 @@ mod tests {
             .build()
             .unwrap();
         let mut wal = MergeWal::new();
-        let err = killed.cluster_wal(&data, &Jaccard, &mut wal).unwrap_err();
+        let err = killed
+            .try_cluster(&data, &Jaccard, Some(&mut wal))
+            .unwrap_err();
         assert!(matches!(
             err,
             RockError::Interrupted {
@@ -1024,7 +878,9 @@ mod tests {
                 .seed(7)
                 .build()
                 .unwrap()
-                .run(&data, &Jaccard)
+                .try_run(&data, &Jaccard)
+                .unwrap()
+                .0
         };
         let (a, b) = (make(), make());
         assert_eq!(a.sample_indices, b.sample_indices);

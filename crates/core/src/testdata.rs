@@ -25,3 +25,18 @@ pub(crate) fn figure1_transactions() -> Vec<Transaction> {
     }
     ts
 }
+
+/// Computes links on one thread and runs the ungoverned, unjournaled
+/// Fig.-3 merge loop over `graph`.
+pub(crate) fn merge(
+    algorithm: crate::algorithm::RockAlgorithm,
+    graph: &crate::neighbors::NeighborGraph,
+) -> Result<crate::algorithm::RockRun, crate::error::RockError> {
+    let links = crate::links_matrix::LinkMatrix::compute_auto(graph, 1);
+    algorithm.run(
+        graph,
+        &links,
+        &crate::governor::RunGovernor::unlimited(),
+        None,
+    )
+}

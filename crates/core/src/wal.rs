@@ -72,9 +72,9 @@
 //! magic/Begin prefix (nothing to resume from) is a
 //! [`RockError::WalCorrupt`].
 //!
-//! Entry points: [`crate::algorithm::RockAlgorithm::run_governed`]
-//! (writes), [`crate::algorithm::RockAlgorithm::resume`] (replays), and
-//! [`crate::rock::Rock::cluster_wal`] / [`crate::rock::Rock::resume_cluster`].
+//! Entry points: [`crate::algorithm::RockAlgorithm::run`] (writes),
+//! [`crate::algorithm::RockAlgorithm::resume`] (replays), and
+//! [`crate::rock::Rock::try_cluster`] / [`crate::rock::Rock::resume_cluster`].
 
 use crate::cluster::MergeRecord;
 use crate::error::RockError;

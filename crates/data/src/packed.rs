@@ -262,12 +262,13 @@ mod tests {
             })
             .collect();
         let packed = PackedBaskets::new(&ts);
-        let from_packed = NeighborGraph::build(&packed, 0.3);
-        let from_transactions = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3);
+        let from_packed = NeighborGraph::build(&packed, 0.3, 1).unwrap();
+        let from_transactions =
+            NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3, 1).unwrap();
         assert_eq!(from_packed, from_transactions);
-        // And the parallel builder over packed rows agrees too.
+        // And the sharded scan over packed rows agrees too.
         assert_eq!(
-            NeighborGraph::build_parallel(&packed, 0.3, 4),
+            NeighborGraph::build(&packed, 0.3, 4).unwrap(),
             from_transactions
         );
     }

@@ -339,10 +339,10 @@ struct LoopState {
 /// Folds one consumed line's outcome into the loop state — quarantine
 /// accounting, cluster counters and the periodic-checkpoint cadence.
 ///
-/// Both the sequential [`ingest_loop`] and the batched parallel driver
-/// ([`label_stream_resilient_parallel`]) route every line through this
-/// single function, which is what makes their checkpoints and reports
-/// bit-identical. The caller has already advanced `byte_offset` and
+/// Both the plain reader's [`ingest_loop`] and the batched labeling
+/// driver ([`label_stream_resilient`]) route every line through this
+/// single function, so their checkpoints and reports follow one state
+/// machine. The caller has already advanced `byte_offset` and
 /// `lines_seen` for this line.
 fn fold_outcome<F: FnMut(&Checkpoint)>(
     state: &mut LoopState,
@@ -497,15 +497,9 @@ fn interrupt_stop(e: RockError, report: &mut RunReport, line: u64) -> (IngestErr
 /// record to `handle`, quarantines rejects, maintains the checkpoint and
 /// emits periodic checkpoints. Returns `(kind, line)` on a hard stop; the
 /// caller owns the salvage.
-///
-/// The governor is consulted before each line at checkpoint index
-/// `lines_seen` (cumulative across resumptions), so an injected
-/// `with_kill_at(Phase::Labeling, k)` stops with exactly `k` lines
-/// consumed regardless of where the run was last resumed.
 fn ingest_loop<R, F, H>(
     reader: &mut R,
     config: &ResilientConfig,
-    governor: &RunGovernor,
     state: &mut LoopState,
     on_checkpoint: &mut F,
     handle: &mut H,
@@ -518,10 +512,6 @@ where
     let mut buf = Vec::new();
     let mut since_checkpoint = 0u64;
     loop {
-        if let Err(e) = governor.check_at(Phase::Labeling, state.checkpoint.lines_seen) {
-            let line = state.checkpoint.lines_seen + 1;
-            return Err(interrupt_stop(e, &mut state.report, line));
-        }
         buf.clear();
         let consumed = read_record_retry(reader, &mut buf, &config.retry, &mut state.report)
             .map_err(|e| (IngestErrorKind::Io(e), state.checkpoint.lines_seen + 1))?;
@@ -582,8 +572,25 @@ fn start_state(
     Ok(LoopState { report, checkpoint })
 }
 
+/// Lines per read-score-fold round of [`label_stream_resilient`].
+/// Large enough to amortise the scatter/gather, small enough that a hard
+/// failure wastes at most one batch of speculative scoring.
+const LABEL_BATCH: usize = 4096;
+
+/// A read-ahead line awaiting the sequential fold.
+enum PreLine {
+    /// Blank or comment line.
+    Skip,
+    /// Parsed record; index into this batch's scoring slots.
+    Txn(usize),
+    /// Parse failure to quarantine.
+    Bad(String),
+}
+
 /// Streams numeric basket lines from `reader`, labeling each record
-/// against `labeler` (§4.6) with retries, quarantine and checkpoints.
+/// against `labeler` (§4.6) with retries, quarantine and checkpoints,
+/// scoring on `threads` rayon workers (`threads = 1` scores on the
+/// calling thread) under `governor`.
 ///
 /// * `resume` — a [`Checkpoint`] from an earlier interrupted run over the
 ///   same byte stream; the driver skips to its byte offset and continues.
@@ -600,200 +607,48 @@ fn start_state(
 /// [`Labeling`], its [`RunReport`] and the final cumulative
 /// [`Checkpoint`].
 ///
-/// # Errors
-/// [`IngestError`] on a hard I/O failure, quarantine overflow or an
-/// inconsistent resume checkpoint — always carrying the partial results
-/// and a resumable checkpoint.
-pub fn label_stream_resilient<R, S, F>(
-    reader: R,
-    labeler: &Labeler<Transaction>,
-    sim: &S,
-    config: &ResilientConfig,
-    resume: Option<&Checkpoint>,
-    on_checkpoint: F,
-) -> Result<ResilientLabelRun, IngestError>
-where
-    R: BufRead,
-    S: Similarity<Transaction>,
-    F: FnMut(&Checkpoint),
-{
-    label_stream_resilient_governed(
-        reader,
-        labeler,
-        sim,
-        config,
-        resume,
-        on_checkpoint,
-        &RunGovernor::unlimited(),
-    )
-}
-
-/// As [`label_stream_resilient`], governed: `governor` is consulted
-/// before every input line (at checkpoint index `lines_seen`, cumulative
-/// across resumptions), so cancellation, deadlines, memory trips and
-/// injected kills (`with_kill_at(Phase::Labeling, k)`) stop the pass with
-/// a consistent, resumable [`Checkpoint`] —
-/// [`IngestErrorKind::Interrupted`], with the trip mirrored in the
-/// report's `interrupted` field. With an unlimited governor, behaviour is
-/// exactly that of [`label_stream_resilient`].
-///
-/// # Errors
-/// The errors of [`label_stream_resilient`], plus
-/// [`IngestErrorKind::Interrupted`] on a governor trip.
-pub fn label_stream_resilient_governed<R, S, F>(
-    mut reader: R,
-    labeler: &Labeler<Transaction>,
-    sim: &S,
-    config: &ResilientConfig,
-    resume: Option<&Checkpoint>,
-    mut on_checkpoint: F,
-    governor: &RunGovernor,
-) -> Result<ResilientLabelRun, IngestError>
-where
-    R: BufRead,
-    S: Similarity<Transaction>,
-    F: FnMut(&Checkpoint),
-{
-    let started = Instant::now();
-    let num_clusters = labeler.num_clusters();
-    let mut state = start_state(resume, num_clusters)?;
-    let mut assignments: Vec<Option<usize>> = Vec::new();
-
-    let outcome = match skip_bytes(
-        &mut reader,
-        state.checkpoint.byte_offset,
-        &config.retry,
-        &mut state.report,
-    ) {
-        Err(e) => Err((IngestErrorKind::Io(e), state.checkpoint.lines_seen)),
-        Ok(()) => ingest_loop(
-            &mut reader,
-            config,
-            governor,
-            &mut state,
-            &mut on_checkpoint,
-            &mut |_lineno, txn| match labeler.label_point_checked(&txn, sim) {
-                Ok(assignment) => {
-                    assignments.push(assignment);
-                    Handled::Labeled(assignment)
-                }
-                Err(RockError::NonFiniteSimilarity { value }) => {
-                    Handled::Quarantine(format!("non-finite similarity {value}"))
-                }
-                Err(e) => Handled::Quarantine(e.to_string()),
-            },
-        ),
-    };
-
-    state.report.record_phase("label-stream", started.elapsed());
-    let labeling = collect_labeling(&assignments, num_clusters);
-    match outcome {
-        Ok(()) => Ok(ResilientLabelRun {
-            labeling,
-            report: state.report,
-            checkpoint: state.checkpoint,
-        }),
-        Err((kind, line)) => Err(IngestError {
-            kind,
-            line,
-            report: state.report,
-            checkpoint: state.checkpoint,
-            partial_assignments: assignments,
-        }),
-    }
-}
-
-/// Lines per read-score-fold round of the parallel labeling driver.
-/// Large enough to amortise the scatter/gather, small enough that a hard
-/// failure wastes at most one batch of speculative scoring.
-const PARALLEL_LABEL_BATCH: usize = 4096;
-
-/// A read-ahead line awaiting the sequential fold.
-enum PreLine {
-    /// Blank or comment line.
-    Skip,
-    /// Parsed record; index into this batch's scoring slots.
-    Txn(usize),
-    /// Parse failure to quarantine.
-    Bad(String),
-}
-
-/// As [`label_stream_resilient`], with similarity scoring fanned out
-/// across `threads` rayon workers.
-///
-/// The stream is processed in rounds of [`PARALLEL_LABEL_BATCH`] lines:
+/// The stream is processed in rounds of [`LABEL_BATCH`] lines:
 /// reads (with retries) and parsing stay sequential, the per-record
 /// [`Labeler::label_point_checked`] calls — the O(sample)·O(stream) hot
-/// loop — run in parallel over contiguous chunks of the batch, and the
-/// results are folded back through the *same* per-line state machine as
-/// the sequential driver ([`fold_outcome`]). Scoring is pure, chunk
-/// results land in pre-assigned slots, and the fold walks lines in input
-/// order, so assignments, [`RunReport`], periodic checkpoint cadence and
-/// every salvaged [`IngestError`] are bit-identical to
-/// [`label_stream_resilient`] for any thread count — including resuming
-/// a sequential run from a parallel run's checkpoint and vice versa.
+/// loop — run over contiguous chunks of the batch, and the results are
+/// folded back line by line through one per-line state machine
+/// ([`fold_outcome`]). Scoring is pure, chunk results land in
+/// pre-assigned slots, and the fold walks lines in input order, so
+/// assignments, [`RunReport`], periodic checkpoint cadence and every
+/// salvaged [`IngestError`] are bit-identical for any thread count —
+/// including resuming a run from a checkpoint written at another thread
+/// count.
 ///
-/// On a mid-batch hard stop (quarantine overflow), lines read beyond the
-/// stopping line were speculatively scored but are *not* folded: the
-/// returned checkpoint's byte offset still points at the first
-/// unprocessed line.
+/// `governor` is consulted in the fold before every input line (at
+/// checkpoint index `lines_seen`, cumulative across resumptions), so
+/// cancellation, deadlines, memory trips and injected kills
+/// (`with_kill_at(Phase::Labeling, k)`) stop the pass at the *same line*
+/// with the same consistent, resumable [`Checkpoint`] for every thread
+/// count — [`IngestErrorKind::Interrupted`], with the trip mirrored in the
+/// report's `interrupted` field. An unlimited governor never interrupts.
 ///
-/// # Errors
-/// Exactly the errors of [`label_stream_resilient`].
-///
-/// # Panics
-/// Panics if `threads == 0`.
-pub fn label_stream_resilient_parallel<R, S, F>(
-    reader: R,
-    labeler: &Labeler<Transaction>,
-    sim: &S,
-    config: &ResilientConfig,
-    resume: Option<&Checkpoint>,
-    on_checkpoint: F,
-    threads: usize,
-) -> Result<ResilientLabelRun, IngestError>
-where
-    R: BufRead,
-    S: Similarity<Transaction> + Sync,
-    F: FnMut(&Checkpoint),
-{
-    label_stream_resilient_parallel_governed(
-        reader,
-        labeler,
-        sim,
-        config,
-        resume,
-        on_checkpoint,
-        &RunGovernor::unlimited(),
-        threads,
-    )
-}
-
-/// As [`label_stream_resilient_parallel`], governed.
-///
-/// The governor is consulted in the sequential fold at the same per-line
-/// checkpoint indices as [`label_stream_resilient_governed`], so a trip
-/// stops at the *same line* with the same checkpoint for every thread
-/// count; speculatively read/scored lines beyond the stop are discarded
-/// (the checkpoint's byte offset still points at the first unprocessed
-/// line, exactly as in the mid-batch quarantine-overflow case).
+/// On a mid-batch hard stop (quarantine overflow, governor trip), lines
+/// read beyond the stopping line were speculatively scored but are *not*
+/// folded: the returned checkpoint's byte offset still points at the
+/// first unprocessed line.
 ///
 /// # Errors
-/// The errors of [`label_stream_resilient_parallel`], plus
-/// [`IngestErrorKind::Interrupted`] on a governor trip.
+/// [`IngestError`] on a hard I/O failure, quarantine overflow, an
+/// inconsistent resume checkpoint or a governor trip — always carrying
+/// the partial results and a resumable checkpoint.
 ///
 /// # Panics
 /// Panics if `threads == 0`.
 #[allow(clippy::too_many_arguments)]
-pub fn label_stream_resilient_parallel_governed<R, S, F>(
+pub fn label_stream_resilient<R, S, F>(
     mut reader: R,
     labeler: &Labeler<Transaction>,
     sim: &S,
     config: &ResilientConfig,
     resume: Option<&Checkpoint>,
     mut on_checkpoint: F,
-    governor: &RunGovernor,
     threads: usize,
+    governor: &RunGovernor,
 ) -> Result<ResilientLabelRun, IngestError>
 where
     R: BufRead,
@@ -801,17 +656,6 @@ where
     F: FnMut(&Checkpoint),
 {
     assert!(threads > 0, "need at least one thread");
-    if threads == 1 {
-        return label_stream_resilient_governed(
-            reader,
-            labeler,
-            sim,
-            config,
-            resume,
-            on_checkpoint,
-            governor,
-        );
-    }
     let started = Instant::now();
     let num_clusters = labeler.num_clusters();
     let mut state = start_state(resume, num_clusters)?;
@@ -846,11 +690,11 @@ where
     let mut buf = Vec::new();
     'rounds: loop {
         // Phase 1 — sequential read-ahead of one batch.
-        let mut lines: Vec<(u64, PreLine)> = Vec::with_capacity(PARALLEL_LABEL_BATCH);
+        let mut lines: Vec<(u64, PreLine)> = Vec::with_capacity(LABEL_BATCH);
         let mut batch_txns: Vec<Transaction> = Vec::new();
         let mut read_error: Option<io::Error> = None;
         let mut eof = false;
-        while lines.len() < PARALLEL_LABEL_BATCH {
+        while lines.len() < LABEL_BATCH {
             buf.clear();
             match read_record_retry(&mut reader, &mut buf, &config.retry, &mut state.report) {
                 Ok(0) => {
@@ -875,33 +719,38 @@ where
                 }
                 Err(e) => {
                     // Fold what we have, then surface the error at the
-                    // line after the last consumed one — as the
-                    // sequential driver would.
+                    // line after the last consumed one.
                     read_error = Some(e);
                     break;
                 }
             }
         }
 
-        // Phase 2 — parallel scoring of this batch's parsed records.
+        // Phase 2 — scoring of this batch's parsed records, fanned out
+        // over the workers when there is more than one.
         let mut scored: Vec<Option<Result<Option<usize>, RockError>>> =
             vec![None; batch_txns.len()];
-        if !batch_txns.is_empty() {
+        let score = |part: &[Transaction],
+                     slots: &mut [Option<Result<Option<usize>, RockError>>]| {
+            for (txn, slot) in part.iter().zip(slots.iter_mut()) {
+                *slot = Some(labeler.label_point_checked(txn, sim));
+            }
+        };
+        if threads == 1 || batch_txns.len() < 2 {
+            score(&batch_txns, &mut scored);
+        } else {
             let chunk = batch_txns.len().div_ceil(threads);
             rayon::scope(|scope| {
                 for (part, slots) in batch_txns.chunks(chunk).zip(scored.chunks_mut(chunk)) {
-                    scope.spawn(move |_| {
-                        for (txn, slot) in part.iter().zip(slots.iter_mut()) {
-                            *slot = Some(labeler.label_point_checked(txn, sim));
-                        }
-                    });
+                    let score = &score;
+                    scope.spawn(move |_| score(part, slots));
                 }
             });
         }
 
         // Phase 3 — sequential fold through the shared state machine.
         for (consumed, pre) in lines {
-            // Same per-line checkpoint index as the sequential driver, so
+            // Checkpoint index `lines_seen`, cumulative across resumes, so
             // a trip stops at an identical line for every thread count.
             if let Err(e) = governor.check_at(Phase::Labeling, state.checkpoint.lines_seen) {
                 let line = state.checkpoint.lines_seen + 1;
@@ -985,7 +834,6 @@ pub fn read_baskets_resilient<R: BufRead>(
         Ok(()) => ingest_loop(
             &mut reader,
             config,
-            &RunGovernor::unlimited(),
             &mut state,
             &mut |_cp| {},
             &mut |_lineno, txn| {
@@ -1063,6 +911,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(
@@ -1091,6 +941,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(run.labeling.assignments, vec![Some(0), Some(1)]);
@@ -1116,6 +968,8 @@ mod tests {
             &config,
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -1150,6 +1004,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(run.checkpoint.records_read, 100);
@@ -1164,6 +1020,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(run.labeling, clean.labeling);
@@ -1188,6 +1046,8 @@ mod tests {
             &config,
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap_err();
         let IngestErrorKind::Io(e) = &err.kind else {
@@ -1202,6 +1062,8 @@ mod tests {
             &config,
             Some(&err.checkpoint),
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(resumed.report.resumed_from_offset, Some(err.checkpoint.byte_offset));
@@ -1230,6 +1092,8 @@ mod tests {
             &config,
             None,
             |cp| checkpoints.push(cp.clone()),
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(checkpoints.len(), 2); // lines 7 and 14 of 20
@@ -1244,6 +1108,8 @@ mod tests {
                 &config,
                 Some(cp),
                 |_| {},
+                1,
+                &RunGovernor::unlimited(),
             )
             .unwrap();
             assert_eq!(resumed.checkpoint, full.checkpoint, "resume from {cp:?}");
@@ -1298,6 +1164,8 @@ mod tests {
             &no_sleep_config(),
             Some(&cp),
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap_err();
         assert!(matches!(err.kind, IngestErrorKind::BadCheckpoint(_)));
@@ -1316,6 +1184,8 @@ mod tests {
             &no_sleep_config(),
             Some(&cp),
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap_err();
         let IngestErrorKind::Io(e) = &err.kind else {
@@ -1345,6 +1215,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(run.labeling.assignments, vec![Some(0), Some(1)]);
@@ -1367,6 +1239,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(run.labeling.assignments, vec![Some(0), Some(1)]);
@@ -1439,11 +1313,13 @@ mod tests {
             &config,
             None,
             |cp| seq_cps.push(cp.clone()),
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         for threads in [2, 3, 8] {
             let mut par_cps = Vec::new();
-            let par = label_stream_resilient_parallel(
+            let par = label_stream_resilient(
                 BufReader::new(input.as_bytes()),
                 &labeler,
                 &Jaccard,
@@ -1451,6 +1327,7 @@ mod tests {
                 None,
                 |cp| par_cps.push(cp.clone()),
                 threads,
+                &RunGovernor::unlimited(),
             )
             .unwrap();
             assert_eq!(par.labeling, seq.labeling, "threads={threads}");
@@ -1478,9 +1355,11 @@ mod tests {
             &config,
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap_err();
-        let par = label_stream_resilient_parallel(
+        let par = label_stream_resilient(
             BufReader::new(input.as_bytes()),
             &labeler,
             &Jaccard,
@@ -1488,6 +1367,7 @@ mod tests {
             None,
             |_| {},
             4,
+            &RunGovernor::unlimited(),
         )
         .unwrap_err();
         assert!(matches!(
@@ -1517,11 +1397,13 @@ mod tests {
             &config,
             None,
             |cp| cps.push(cp.clone()),
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert!(!cps.is_empty());
         // Resume a parallel run from a sequential periodic checkpoint.
-        let resumed = label_stream_resilient_parallel(
+        let resumed = label_stream_resilient(
             BufReader::new(input.as_bytes()),
             &labeler,
             &Jaccard,
@@ -1529,6 +1411,7 @@ mod tests {
             Some(&cps[0]),
             |_| {},
             3,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(resumed.checkpoint, full.checkpoint);
@@ -1552,7 +1435,7 @@ mod tests {
             .collect();
         let spec = FaultSpec::none(23).transient(0.1, 1).chunk(8);
         let faulty = FaultyReader::new(input.as_bytes(), spec);
-        let run = label_stream_resilient_parallel(
+        let run = label_stream_resilient(
             BufReader::new(faulty),
             &labeler,
             &Jaccard,
@@ -1560,6 +1443,7 @@ mod tests {
             None,
             |_| {},
             4,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         let clean = label_stream_resilient(
@@ -1569,6 +1453,8 @@ mod tests {
             &no_sleep_config(),
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(run.labeling, clean.labeling);
@@ -1596,18 +1482,21 @@ mod tests {
             &config,
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
 
         // Kill at absolute line 20 (check_at uses cumulative lines_seen).
         let governor = RunGovernor::unlimited().with_kill_at(Phase::Labeling, 20);
-        let err = label_stream_resilient_governed(
+        let err = label_stream_resilient(
             BufReader::new(input.as_bytes()),
             &labeler,
             &Jaccard,
             &config,
             None,
             |_| {},
+            1,
             &governor,
         )
         .unwrap_err();
@@ -1633,6 +1522,8 @@ mod tests {
             &config,
             Some(&err.checkpoint),
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .unwrap();
         assert_eq!(resumed.checkpoint, baseline.checkpoint);
@@ -1658,15 +1549,15 @@ mod tests {
             ..no_sleep_config()
         };
         let kill = |governor: &RunGovernor, threads: usize| {
-            label_stream_resilient_parallel_governed(
+            label_stream_resilient(
                 BufReader::new(input.as_bytes()),
                 &labeler,
                 &Jaccard,
                 &config,
                 None,
                 |_| {},
-                governor,
                 threads,
+                governor,
             )
             .unwrap_err()
         };

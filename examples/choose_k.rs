@@ -7,25 +7,21 @@
 //! ```
 
 use rand::{rngs::StdRng, SeedableRng};
-use rock::algorithm::{OutlierPolicy, RockAlgorithm};
-use rock::goodness::{BasketF, Goodness, GoodnessKind};
-use rock::neighbors::NeighborGraph;
-use rock::similarity::{Jaccard, PointsWith};
-use rock::Dendrogram;
+use rock::rock::Rock;
+use rock::similarity::Jaccard;
+use rock::{Dendrogram, RockError};
 use rock_data::{generate_baskets, SyntheticBasketSpec};
 use rock_eval::adjusted_rand_index;
 
-fn main() {
+fn main() -> Result<(), RockError> {
     // 10 true clusters; pretend we do not know that.
     let data = generate_baskets(
         &SyntheticBasketSpec::paper_scaled(0.02),
         &mut StdRng::seed_from_u64(21),
     );
-    let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5);
-    let goodness = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);
-
     // One run to k = 2 captures the whole hierarchy above it.
-    let run = RockAlgorithm::new(goodness, 2, OutlierPolicy::default()).run(&graph);
+    let rock = Rock::builder().theta(0.5).clusters(2).build()?;
+    let run = rock.try_cluster(&data.transactions, &Jaccard, None)?;
     let dendro = Dendrogram::from_run(&run).expect("no weeding → dendrogram");
     println!(
         "one clustering run: {} leaves, merges recorded down to {} clusters",
@@ -55,4 +51,5 @@ fn main() {
     }
     println!("best cut: k = {} (true cluster count is 10)", best.0);
     assert_eq!(best.0, 10);
+    Ok(())
 }

@@ -7,8 +7,10 @@
 //! ```
 
 use rand::{rngs::StdRng, SeedableRng};
+use rock::governor::RunGovernor;
 use rock::rock::Rock;
 use rock::similarity::{CategoricalJaccard, PointsWith};
+use rock::RockError;
 use rock_baselines::{
     centroid_hierarchical, kmodes, records_to_vectors, similarity_linkage, CentroidConfig,
     KModesConfig, Linkage, LinkageConfig,
@@ -16,7 +18,7 @@ use rock_baselines::{
 use rock_data::{generate_votes, Party, VotesSpec};
 use rock_eval::{adjusted_rand_index, normalized_mutual_information};
 
-fn main() {
+fn main() -> Result<(), RockError> {
     let data = generate_votes(&VotesSpec::paper(), &mut StdRng::seed_from_u64(84));
     let truth: Vec<usize> = data
         .labels
@@ -39,30 +41,33 @@ fn main() {
         .theta(0.73)
         .clusters(2)
         .weed_outliers(3.0, 5)
-        .build()
-        .expect("valid configuration");
-    let run = rock.cluster(&data.records, &CategoricalJaccard::default());
+        .build()?;
+    let run = rock.try_cluster(&data.records, &CategoricalJaccard::default(), None)?;
     let rock_ari = score("ROCK (theta=0.73)", run.clustering.assignments(truth.len()));
 
     let vectors = records_to_vectors(&data.records, &data.schema);
-    let centroid = centroid_hierarchical(&vectors, CentroidConfig::paper(2));
+    // Open-loop baselines: no budget or cancellation applies.
+    let unlimited = RunGovernor::unlimited();
+    let centroid = centroid_hierarchical(&vectors, CentroidConfig::paper(2), &unlimited)?;
     let centroid_ari = score("centroid hierarchical", centroid.assignments(truth.len()));
 
     let sim = CategoricalJaccard::default();
     let avg = similarity_linkage(
         &PointsWith::new(&data.records, &sim),
         LinkageConfig::new(2, Linkage::Average),
-    );
+        &unlimited,
+    )?;
     score("group average", avg.assignments(truth.len()));
 
     let mst = similarity_linkage(
         &PointsWith::new(&data.records, &sim),
         LinkageConfig::new(2, Linkage::Single),
-    );
+        &unlimited,
+    )?;
     let mst_ari = score("single link (MST)", mst.assignments(truth.len()));
 
     let mut rng = StdRng::seed_from_u64(5);
-    let km = kmodes(&data.records, KModesConfig::new(2), &mut rng);
+    let km = kmodes(&data.records, KModesConfig::new(2), &mut rng, &unlimited)?;
     score("k-modes", km.clustering.assignments(truth.len()));
 
     assert!(
@@ -73,4 +78,5 @@ fn main() {
         rock_ari > centroid_ari,
         "links must beat the centroid-based traditional algorithm (paper Table 2)"
     );
+    Ok(())
 }

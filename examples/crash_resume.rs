@@ -42,7 +42,9 @@ fn main() {
     };
 
     // --- the reference: an uninterrupted run.
-    let baseline = build(RunGovernor::unlimited()).cluster(&data, &Jaccard);
+    let baseline = build(RunGovernor::unlimited())
+        .try_cluster(&data, &Jaccard, None)
+        .expect("an unlimited governor never trips");
     println!(
         "baseline: {} clusters after {} merges",
         baseline.clustering.num_clusters(),
@@ -55,7 +57,7 @@ fn main() {
     let mut wal = MergeWal::new().with_snapshot_every(8);
     let killer = build(RunGovernor::unlimited().with_kill_at(Phase::Merge, 12));
     let err = killer
-        .cluster_wal(&data, &Jaccard, &mut wal)
+        .try_cluster(&data, &Jaccard, Some(&mut wal))
         .expect_err("the kill point must interrupt the run");
     assert!(matches!(err, RockError::Interrupted { resumable: true, .. }));
     println!("\ninterrupted: {err}");

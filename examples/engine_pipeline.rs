@@ -3,7 +3,7 @@
 //! The same clustering runs (1) through the uniform [`ClusterModel`]
 //! fit contract (ROCK and a traditional baseline side by side), (2)
 //! composed stage by stage on a [`rock::Pipeline`] session, and (3)
-//! through the packaged `Rock::cluster` driver — and the staged and
+//! through the packaged `Rock::try_cluster` driver — and the staged and
 //! packaged runs are asserted bit-identical, exiting non-zero on any
 //! divergence.
 //!
@@ -122,7 +122,9 @@ fn main() {
 
     // 3. The packaged driver runs the same stages internally — the two
     //    paths must agree bit for bit, merge trace included.
-    let packaged = engine().cluster(&data, &Jaccard);
+    let packaged = engine()
+        .try_cluster(&data, &Jaccard, None)
+        .expect("Jaccard is finite and the governor unlimited");
     assert_eq!(staged.clustering, packaged.clustering);
     assert_eq!(staged.merges, packaged.merges);
     println!(

@@ -7,12 +7,12 @@
 //! cargo run --release --example expert_similarity
 //! ```
 
-use rock::goodness::{ConstantF, Goodness, GoodnessKind};
-use rock::algorithm::{OutlierPolicy, RockAlgorithm};
-use rock::neighbors::NeighborGraph;
+use rock::goodness::ConstantF;
+use rock::rock::Rock;
 use rock::similarity::SimilarityMatrix;
+use rock::RockError;
 
-fn main() {
+fn main() -> Result<(), RockError> {
     // An expert scores the pairwise similarity of 9 wines; two schools
     // (old world: 0-4, new world: 5-8) plus noisy off-diagonal scores.
     let n = 9;
@@ -27,12 +27,14 @@ fn main() {
         }
     });
 
-    let graph = NeighborGraph::build(&expert, 0.7);
     // f(θ) is the expert's estimate of neighborhood density; here every
     // wine neighbors its whole school, so f ≈ 1.
-    let goodness = Goodness::new(0.7, ConstantF(1.0), GoodnessKind::Normalized);
-    let algo = RockAlgorithm::new(goodness, 2, OutlierPolicy::default());
-    let run = algo.run(&graph);
+    let rock = Rock::builder()
+        .theta(0.7)
+        .clusters(2)
+        .f_theta(ConstantF(1.0))
+        .build()?;
+    let run = rock.try_cluster_pairwise(&expert, None)?;
 
     println!("clusters from the expert table alone:");
     for (c, members) in run.clustering.clusters.iter().enumerate() {
@@ -41,4 +43,5 @@ fn main() {
     assert_eq!(run.clustering.num_clusters(), 2);
     assert_eq!(run.clustering.clusters[0], vec![0, 1, 2, 3, 4]);
     assert_eq!(run.clustering.clusters[1], vec![5, 6, 7, 8]);
+    Ok(())
 }

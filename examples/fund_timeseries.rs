@@ -10,9 +10,10 @@
 use rand::{rngs::StdRng, SeedableRng};
 use rock::rock::Rock;
 use rock::similarity::{CategoricalJaccard, MissingPolicy};
+use rock::RockError;
 use rock_data::{generate_funds, FundSpec};
 
-fn main() {
+fn main() -> Result<(), RockError> {
     let spec = FundSpec::paper_scaled(0.4);
     let data = generate_funds(&spec, &mut StdRng::seed_from_u64(1993));
     let young = data
@@ -30,12 +31,8 @@ fn main() {
     // The time-series missing-value policy (§3.1.2): only days present in
     // *both* records count.
     let sim = CategoricalJaccard::new(MissingPolicy::CommonAttributes);
-    let rock = Rock::builder()
-        .theta(0.8)
-        .clusters(20)
-        .build()
-        .expect("valid configuration");
-    let run = rock.cluster(&data.records, &sim);
+    let rock = Rock::builder().theta(0.8).clusters(20).build()?;
+    let run = rock.try_cluster(&data.records, &sim, None)?;
 
     let mut described = 0;
     for cluster in &run.clustering.clusters {
@@ -60,4 +57,5 @@ fn main() {
         run.clustering.outliers.len()
     );
     assert!(described >= 5, "the major fund families should be found");
+    Ok(())
 }

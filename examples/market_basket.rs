@@ -9,10 +9,11 @@
 use rand::{rngs::StdRng, SeedableRng};
 use rock::rock::Rock;
 use rock::similarity::Jaccard;
+use rock::RockError;
 use rock_data::{generate_baskets, SyntheticBasketSpec};
 use rock_eval::count_misclassified;
 
-fn main() {
+fn main() -> Result<(), RockError> {
     // ~11.5k transactions in 10 clusters + 5% outliers (a 10% scale of
     // the paper's 114,586-transaction data set; see table5_synthetic).
     let spec = SyntheticBasketSpec::paper_scaled(0.1);
@@ -32,9 +33,8 @@ fn main() {
         .labeling_fraction(0.3)
         .weed_outliers(3.0, 10)
         .seed(7)
-        .build()
-        .expect("valid configuration");
-    let result = rock.run(&data.transactions, &Jaccard);
+        .build()?;
+    let (result, _report) = rock.try_run(&data.transactions, &Jaccard)?;
 
     println!(
         "sample of {} clustered into {} clusters; {} sample points weeded as outliers",
@@ -51,4 +51,5 @@ fn main() {
         100.0 * m.rate()
     );
     assert!(m.rate() < 0.05, "pipeline should be near-perfect here");
+    Ok(())
 }

@@ -9,10 +9,11 @@
 use rand::{rngs::StdRng, SeedableRng};
 use rock::rock::Rock;
 use rock::similarity::CategoricalJaccard;
+use rock::RockError;
 use rock_data::{generate_mushrooms, Edibility, MushroomSpec};
 use rock_eval::{cluster_profiles, ContingencyTable};
 
-fn main() {
+fn main() -> Result<(), RockError> {
     // A 10%-scale mushroom data set (~815 records, 22 species blocks).
     let data = generate_mushrooms(
         &MushroomSpec::paper_scaled(0.1),
@@ -20,12 +21,8 @@ fn main() {
     );
     println!("{} mushroom records, 22 categorical attributes", data.records.len());
 
-    let rock = Rock::builder()
-        .theta(0.8)
-        .clusters(20)
-        .build()
-        .expect("valid configuration");
-    let run = rock.cluster(&data.records, &CategoricalJaccard::default());
+    let rock = Rock::builder().theta(0.8).clusters(20).build()?;
+    let run = rock.try_cluster(&data.records, &CategoricalJaccard::default(), None)?;
 
     let truth: Vec<usize> = data
         .labels
@@ -48,4 +45,5 @@ fn main() {
         println!("  {}", profile.render(&data.schema));
     }
     assert!(table.purity() > 0.95);
+    Ok(())
 }

@@ -1,7 +1,7 @@
 //! The parallel link-computation engine end to end: bit-packed neighbor
 //! rows, CSR link kernels, a multi-threaded Fig.-2 pipeline and parallel
-//! resilient labeling — every stage checked bit-identical against its
-//! sequential counterpart, because thread count is a pure performance
+//! resilient labeling — every stage checked bit-identical against the
+//! same kernel at one thread, because thread count is a pure performance
 //! knob in this codebase (see DESIGN.md §7).
 //!
 //! ```text
@@ -16,9 +16,7 @@ use rock::neighbors::NeighborGraph;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith};
 use rock::governor::RunGovernor;
-use rock_data::resilient::{
-    label_stream_resilient, label_stream_resilient_parallel_governed, ResilientConfig, RetryPolicy,
-};
+use rock_data::resilient::{label_stream_resilient, ResilientConfig, RetryPolicy};
 use rock_data::{generate_baskets, write_baskets, PackedBaskets, SyntheticBasketSpec};
 use std::io::BufReader;
 use std::time::Duration;
@@ -48,8 +46,9 @@ fn main() {
         packed.uses_bitmap()
     );
     let theta = 0.5;
-    let graph = NeighborGraph::build_parallel(&packed, theta, threads);
-    let reference = NeighborGraph::build(&PointsWith::new(txns, Jaccard), theta);
+    let graph = NeighborGraph::build(&packed, theta, threads).expect("valid theta");
+    let reference =
+        NeighborGraph::build(&PointsWith::new(txns, Jaccard), theta, 1).expect("valid theta");
     assert_eq!(graph, reference, "packed parallel graph must be bit-identical");
     println!(
         "neighbor graph: average degree {:.1} (parallel == sequential ✓)",
@@ -71,9 +70,9 @@ fn main() {
 
     // --- stage 3: the full pipeline with the threads knob. Same seed +
     // same data ⇒ the parallel run reproduces the sequential run exactly.
-    // The parallel side runs *governed* (a generous wall-clock deadline):
-    // with no budget tripped the governed pipeline is bit-identical to
-    // the plain one, and the report carries per-phase timings.
+    // Both runs are governed (a generous wall-clock deadline): with no
+    // budget tripped nothing degrades, and the report carries per-phase
+    // timings.
     let build = |threads: usize| {
         Rock::builder()
             .theta(theta)
@@ -90,7 +89,9 @@ fn main() {
     let (par, report) = build(threads)
         .try_run(txns, &Jaccard)
         .expect("a 600 s deadline never trips here");
-    let seq = build(1).run(txns, &Jaccard);
+    let (seq, _) = build(1)
+        .try_run(txns, &Jaccard)
+        .expect("a 600 s deadline never trips here");
     assert_eq!(par.labeling.assignments, seq.labeling.assignments);
     assert!(!report.degraded(), "no budget tripped, nothing degraded");
     println!(
@@ -102,7 +103,7 @@ fn main() {
 
     // --- stage 4: parallel resilient labeling of a disk-resident stream.
     // Workers score batches in parallel while checkpoints, quarantine and
-    // salvage accounting stay byte-identical with the sequential driver.
+    // salvage accounting stay byte-identical with the one-thread pass.
     let sample: Vec<_> = par.sample_indices.iter().map(|&i| txns[i].clone()).collect();
     let ftheta = (1.0 - theta) / (1.0 + theta);
     let labeler = Labeler::full(&sample, &par.sample_run.clustering.clusters, theta, ftheta);
@@ -115,15 +116,15 @@ fn main() {
         quarantine_detail: 4,
         checkpoint_every: 500,
     };
-    let par_run = label_stream_resilient_parallel_governed(
+    let par_run = label_stream_resilient(
         BufReader::new(image.as_bytes()),
         &labeler,
         &Jaccard,
         &config,
         None,
         |_| {},
-        &RunGovernor::unlimited(),
         threads,
+        &RunGovernor::unlimited(),
     )
     .expect("clean stream labels without interruption");
     let seq_run = label_stream_resilient(
@@ -133,6 +134,8 @@ fn main() {
         &config,
         None,
         |_| {},
+        1,
+        &RunGovernor::unlimited(),
     )
     .expect("sequential reference pass");
     assert_eq!(par_run.labeling.assignments, seq_run.labeling.assignments);

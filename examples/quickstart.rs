@@ -7,8 +7,9 @@
 use rock::points::{ItemCatalog, Transaction};
 use rock::rock::Rock;
 use rock::similarity::Jaccard;
+use rock::RockError;
 
-fn main() {
+fn main() -> Result<(), RockError> {
     // Intern item names so clusters can be described in words.
     let mut items = ItemCatalog::new();
     let basket = |items: &mut ItemCatalog, names: &[&str]| -> Transaction {
@@ -31,12 +32,8 @@ fn main() {
 
     // θ = 0.3: four-item baskets sharing two items (Jaccard 2/6 ≈ 0.33)
     // are neighbors.
-    let rock = Rock::builder()
-        .theta(0.3)
-        .clusters(2)
-        .build()
-        .expect("valid configuration");
-    let run = rock.cluster(&baskets, &Jaccard);
+    let rock = Rock::builder().theta(0.3).clusters(2).build()?;
+    let run = rock.try_cluster(&baskets, &Jaccard, None)?;
 
     println!("found {} clusters:", run.clustering.num_clusters());
     for (c, members) in run.clustering.clusters.iter().enumerate() {
@@ -53,4 +50,5 @@ fn main() {
     println!("outliers (no neighbors): {:?}", run.clustering.outliers);
     assert_eq!(run.clustering.num_clusters(), 2);
     assert_eq!(run.clustering.outliers.len(), 1); // the lawnmower basket
+    Ok(())
 }

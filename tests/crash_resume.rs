@@ -2,7 +2,7 @@
 //!
 //! The contract under test (see DESIGN.md, "Failure model"):
 //!
-//! 1. a [`rock::rock::Rock::cluster_wal`] run killed at *any* merge index
+//! 1. a journaled [`rock::rock::Rock::try_cluster`] run killed at *any* merge index
 //!    resumes from its write-ahead log to a final clustering, merge trace
 //!    and dendrogram bit-identical to an uninterrupted run, for any
 //!    thread count;
@@ -83,10 +83,12 @@ proptest! {
     ) {
         let threads = [1usize, 2, 8][threads_idx];
         let data = three_clusters(18);
-        let baseline = engine(threads, RunGovernor::unlimited()).cluster(&data, &Jaccard);
+        let baseline = engine(threads, RunGovernor::unlimited())
+            .try_cluster(&data, &Jaccard, None)
+            .unwrap();
         let killer = engine(threads, RunGovernor::unlimited().with_kill_at(Phase::Merge, k));
         let mut wal = MergeWal::new();
-        match killer.cluster_wal(&data, &Jaccard, &mut wal) {
+        match killer.try_cluster(&data, &Jaccard, Some(&mut wal)) {
             // Kill point past the end of the merge trace: the run finishes.
             Ok(run) => assert_bit_identical(&run, &baseline),
             Err(RockError::Interrupted { phase, resumable, .. }) => {
@@ -112,7 +114,7 @@ proptest! {
         let data = three_clusters(14);
         let rock = engine(2, RunGovernor::unlimited());
         let mut wal = MergeWal::new();
-        let baseline = rock.cluster_wal(&data, &Jaccard, &mut wal).unwrap();
+        let baseline = rock.try_cluster(&data, &Jaccard, Some(&mut wal)).unwrap();
         let bytes = wal.as_bytes();
         let cut = cut % (bytes.len() + 1);
         let torn = &bytes[..cut];
@@ -133,11 +135,13 @@ proptest! {
 #[test]
 fn chained_interruptions_resume_through_continuation_logs() {
     let data = three_clusters(18);
-    let baseline = engine(2, RunGovernor::unlimited()).cluster(&data, &Jaccard);
+    let baseline = engine(2, RunGovernor::unlimited())
+        .try_cluster(&data, &Jaccard, None)
+        .unwrap();
 
     let mut wal1 = MergeWal::new();
     let err = engine(2, RunGovernor::unlimited().with_kill_at(Phase::Merge, 5))
-        .cluster_wal(&data, &Jaccard, &mut wal1)
+        .try_cluster(&data, &Jaccard, Some(&mut wal1))
         .unwrap_err();
     assert!(matches!(err, RockError::Interrupted { resumable: true, .. }));
 
@@ -155,7 +159,9 @@ fn chained_interruptions_resume_through_continuation_logs() {
 
     // The §3.3 criterion profile (E_l at every cut) over the resumed
     // dendrogram matches the uninterrupted one bit for bit.
-    let graph = rock::NeighborGraph::build(&rock::similarity::PointsWith::new(&data, Jaccard), 0.4);
+    let graph =
+        rock::NeighborGraph::build(&rock::similarity::PointsWith::new(&data, Jaccard), 0.4, 1)
+            .unwrap();
     let links = rock::compute_links_sparse(&graph);
     let goodness = rock::Goodness::new(0.4, rock::ConstantF(1.0), rock::GoodnessKind::Normalized);
     let d_resumed = Dendrogram::from_run(&resumed).expect("no weeding");
@@ -171,11 +177,13 @@ fn chained_interruptions_resume_through_continuation_logs() {
 #[test]
 fn snapshot_wal_resumes_without_the_original_data() {
     let data = three_clusters(18);
-    let baseline = engine(2, RunGovernor::unlimited()).cluster(&data, &Jaccard);
+    let baseline = engine(2, RunGovernor::unlimited())
+        .try_cluster(&data, &Jaccard, None)
+        .unwrap();
 
     let mut wal = MergeWal::new().with_snapshot_every(4);
     let err = engine(2, RunGovernor::unlimited().with_kill_at(Phase::Merge, 13))
-        .cluster_wal(&data, &Jaccard, &mut wal)
+        .try_cluster(&data, &Jaccard, Some(&mut wal))
         .unwrap_err();
     assert!(matches!(err, RockError::Interrupted { resumable: true, .. }));
     assert!(parse_wal(wal.as_bytes()).unwrap().has_snapshot());
@@ -195,7 +203,7 @@ fn interruption_granularity_is_one_merge_batch() {
     for k in [0u64, 3, 9] {
         let mut wal = MergeWal::new();
         let err = engine(1, RunGovernor::unlimited().with_kill_at(Phase::Merge, k))
-            .cluster_wal(&data, &Jaccard, &mut wal)
+            .try_cluster(&data, &Jaccard, Some(&mut wal))
             .unwrap_err();
         assert!(matches!(err, RockError::Interrupted { .. }));
         assert_eq!(parse_wal(wal.as_bytes()).unwrap().num_merges() as u64, k);
@@ -208,7 +216,7 @@ fn interruption_granularity_is_one_merge_batch() {
         .deadline(Duration::ZERO)
         .build()
         .unwrap()
-        .cluster_wal(&data, &Jaccard, &mut wal)
+        .try_cluster(&data, &Jaccard, Some(&mut wal))
         .unwrap_err();
     assert!(matches!(
         err,
@@ -228,7 +236,7 @@ fn interruption_granularity_is_one_merge_batch() {
         .cancel_token(token)
         .build()
         .unwrap()
-        .cluster_wal(&data, &Jaccard, &mut wal)
+        .try_cluster(&data, &Jaccard, Some(&mut wal))
         .unwrap_err();
     assert!(matches!(
         err,

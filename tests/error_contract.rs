@@ -110,7 +110,7 @@ impl Similarity<Transaction> for NanOn13 {
 #[test]
 fn checked_clustering_surfaces_non_finite_similarity() {
     let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-    let err = rock.try_cluster(&baskets(), &NanOn13).unwrap_err();
+    let err = rock.try_cluster(&baskets(), &NanOn13, None).unwrap_err();
     match err {
         RockError::NonFiniteSimilarity { value } => assert!(value.is_nan()),
         other => panic!("expected NonFiniteSimilarity, got {other:?}"),
@@ -122,7 +122,7 @@ fn resuming_a_wal_under_a_different_config_is_a_mismatch() {
     let data = baskets();
     let mut wal = MergeWal::new();
     let rock = Rock::builder().theta(0.5).clusters(2).build().unwrap();
-    rock.cluster_wal(&data, &Jaccard, &mut wal).unwrap();
+    rock.try_cluster(&data, &Jaccard, Some(&mut wal)).unwrap();
     let bytes = wal.into_bytes();
     // Same data, different θ: the WAL's configuration fingerprint no
     // longer matches the resuming run.

@@ -14,6 +14,7 @@ use proptest::prelude::*;
 use rock::algorithm::{OutlierPolicy, RockAlgorithm, WeedPolicy};
 use rock::goodness::{BasketF, Goodness, GoodnessKind};
 use rock::governor::RunGovernor;
+use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
@@ -48,7 +49,7 @@ proptest! {
         k in 1usize..5,
         seed in 1u64..u64::MAX,
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1).unwrap();
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let outliers = OutlierPolicy {
             min_neighbors: 1,
@@ -58,14 +59,23 @@ proptest! {
             }),
         };
         let algo = RockAlgorithm::new(goodness, k, outliers);
+        let governor = RunGovernor::unlimited();
 
-        let baseline_links = compute_links_sparse(&g);
-        let baseline = algo.run_with_links(&g, &baseline_links);
+        let baseline_links = LinkMatrix::from_table(&compute_links_sparse(&g));
+        let baseline = algo
+            .run(&g, &baseline_links, &governor, None)
+            .expect("unlimited governor");
 
-        // Scramble both the link table's pair order and the engine's
+        // Scramble both the link table's hash maps and the engine's
         // internal cross-link maps.
-        let seeded_links = compute_links_sparse_seeded(&g, FxBuildHasher::with_seed(seed));
-        let seeded = algo.with_hash_seed(seed).run_with_links(&g, &seeded_links);
+        let seeded_links = LinkMatrix::from_table(&compute_links_sparse_seeded(
+            &g,
+            FxBuildHasher::with_seed(seed),
+        ));
+        let seeded = algo
+            .with_hash_seed(seed)
+            .run(&g, &seeded_links, &governor, None)
+            .expect("unlimited governor");
 
         assert_same_run!(baseline, seeded);
     }
@@ -80,20 +90,21 @@ proptest! {
         theta in 0.2f64..0.8,
         seed in 1u64..u64::MAX,
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1).unwrap();
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let algo = RockAlgorithm::new(goodness, 2, OutlierPolicy::default());
         let governor = RunGovernor::unlimited();
+        let links = LinkMatrix::compute_auto(&g, 1);
 
         let mut wal_a = MergeWal::new().with_snapshot_every(4);
         let run_a = algo
-            .run_governed(&g, 1, &governor, Some(&mut wal_a))
+            .run(&g, &links, &governor, Some(&mut wal_a))
             .expect("unlimited governor");
 
         let mut wal_b = MergeWal::new().with_snapshot_every(4);
         let run_b = algo
             .with_hash_seed(seed)
-            .run_governed(&g, 1, &governor, Some(&mut wal_b))
+            .run(&g, &links, &governor, Some(&mut wal_b))
             .expect("unlimited governor");
 
         assert_same_run!(run_a, run_b);
@@ -109,14 +120,14 @@ proptest! {
         theta in 0.2f64..0.8,
         seed in 1u64..u64::MAX,
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1).unwrap();
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let algo = RockAlgorithm::new(goodness, 2, OutlierPolicy::default());
         let governor = RunGovernor::unlimited();
 
         let mut wal = MergeWal::new().with_snapshot_every(2);
         let complete = algo
-            .run_governed(&g, 1, &governor, Some(&mut wal))
+            .run(&g, &LinkMatrix::compute_auto(&g, 1), &governor, Some(&mut wal))
             .expect("unlimited governor");
 
         // Replay the finished log under a scrambled hasher: the replayed

@@ -8,21 +8,25 @@
 //!   arbitrary — including adversarial and degenerate — splits, and
 //!   every split must reproduce the single-shard result byte for byte.
 //! * **Exact thread grid** — the paper-relevant thread counts
-//!   {1, 2, 3, 8} pinned explicitly (the proptests draw thread counts
+//!   {1, 2, 3, 8} pinned explicitly against the sequential reference
+//!   kernels in `tests/common` (the proptests draw thread counts
 //!   randomly, which in principle could miss a specific count).
-//! * **Labeling merge under adversarial similarities** — the
-//!   thread-local outcome merge in `label_all_parallel` must agree with
-//!   the sequential fold even when the similarity measure is engineered
-//!   to sit exactly on the θ decision boundary, to drive every point to
-//!   the outlier path, or to saturate at 1.0 — the regimes where a
-//!   merge-order bug would surface as a miscounted outlier or cluster
-//!   total.
+//! * **Labeling under adversarial similarities** — the chunked slot
+//!   writes and the final tally in `Labeler::label_all` must agree with
+//!   the sequential reference fold even when the similarity measure is
+//!   engineered to sit exactly on the θ decision boundary, to drive
+//!   every point to the outlier path, or to saturate at 1.0 — the
+//!   regimes where a partition bug would surface as a miscounted outlier
+//!   or cluster total.
 //!
 //! CI runs this file in release mode (`kernel-equivalence` job) so the
 //! optimizer cannot hide a divergence that debug builds mask.
 
+mod common;
+
 use proptest::collection;
 use proptest::prelude::*;
+use rock::governor::RunGovernor;
 use rock::labeling::Labeler;
 use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
@@ -102,7 +106,7 @@ proptest! {
         cuts in collection::vec(0.0f64..1.0, 0..6),
         salt_empties in any::<bool>(),
     ) {
-        let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1).unwrap();
         let reference = LinkMatrix::compute_sparse(&graph, 1);
         let shards = ranges_from_cuts(graph.len(), &cuts, salt_empties);
         prop_assert_eq!(
@@ -111,7 +115,7 @@ proptest! {
         );
     }
 
-    // The labeling merge agrees with the sequential fold under a
+    // Labeling agrees with the sequential reference fold under a
     // boundary-adversarial similarity, at every pinned thread count,
     // both below and above the parallel cost cutoff.
     #[test]
@@ -133,10 +137,12 @@ proptest! {
             .take(ts.len() * repeat)
             .cloned()
             .collect();
-        let serial = labeler.label_all(&data, &sim);
+        let serial = common::labeling_oracle(&labeler, &data, &sim);
         for threads in THREAD_GRID {
             prop_assert_eq!(
-                &labeler.label_all_parallel(&data, &sim, threads),
+                &labeler
+                    .label_all(&data, &sim, threads, &RunGovernor::unlimited())
+                    .unwrap(),
                 &serial,
                 "threads = {}", threads
             );
@@ -145,7 +151,7 @@ proptest! {
 }
 
 /// The full pinned thread grid, checked exhaustively on one fixed input
-/// per kernel: every count must reproduce the single-thread result.
+/// per kernel: every count must reproduce the sequential reference.
 #[test]
 fn pinned_thread_grid_is_bit_identical() {
     // 180 baskets drawn from three overlapping item bands, so the graph
@@ -160,7 +166,7 @@ fn pinned_thread_grid_is_bit_identical() {
 
     let points = PointsWith::new(&ts, Jaccard);
     let packed = PackedBaskets::new(&ts);
-    let graph = NeighborGraph::build(&points, theta);
+    let graph = common::neighbors_oracle(&points, theta);
     let links = LinkMatrix::compute_sparse(&graph, 1);
     let labeler = Labeler::full(
         &ts,
@@ -168,16 +174,16 @@ fn pinned_thread_grid_is_bit_identical() {
         theta,
         1.0 / 3.0,
     );
-    let labels = labeler.label_all(&ts, &Jaccard);
+    let labels = common::labeling_oracle(&labeler, &ts, &Jaccard);
 
     for threads in THREAD_GRID {
         assert_eq!(
-            NeighborGraph::build_parallel(&points, theta, threads),
+            NeighborGraph::build(&points, theta, threads).unwrap(),
             graph,
             "neighbors diverged at {threads} threads"
         );
         assert_eq!(
-            NeighborGraph::build_parallel(&packed, theta, threads),
+            NeighborGraph::build(&packed, theta, threads).unwrap(),
             graph,
             "packed neighbors diverged at {threads} threads"
         );
@@ -192,7 +198,9 @@ fn pinned_thread_grid_is_bit_identical() {
             "dense links diverged at {threads} threads"
         );
         assert_eq!(
-            labeler.label_all_parallel(&ts, &Jaccard, threads),
+            labeler
+                .label_all(&ts, &Jaccard, threads, &RunGovernor::unlimited())
+                .unwrap(),
             labels,
             "labeling diverged at {threads} threads"
         );
@@ -203,14 +211,19 @@ fn pinned_thread_grid_is_bit_identical() {
 /// graph with isolated points only.
 #[test]
 fn degenerate_graphs_accept_degenerate_splits() {
-    let empty = NeighborGraph::build(&PointsWith::new(&Vec::<Transaction>::new(), Jaccard), 0.5);
+    let empty = NeighborGraph::build(
+        &PointsWith::new(&Vec::<Transaction>::new(), Jaccard),
+        0.5,
+        1,
+    )
+    .unwrap();
     assert_eq!(
         LinkMatrix::compute_sparse_ranges(&empty, &[]),
         LinkMatrix::compute_sparse(&empty, 1)
     );
 
     let singleton = vec![Transaction::from([1, 2, 3])];
-    let one = NeighborGraph::build(&PointsWith::new(&singleton, Jaccard), 0.5);
+    let one = NeighborGraph::build(&PointsWith::new(&singleton, Jaccard), 0.5, 1).unwrap();
     let single: Vec<Range<usize>> = std::iter::once(0..1).collect();
     for shards in [single, vec![0..0, 0..1, 1..1]] {
         assert_eq!(

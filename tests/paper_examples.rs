@@ -2,8 +2,11 @@
 //! (§1.1, §3.2) end-to-end: the traditional algorithms must fail exactly
 //! the way the paper says, and ROCK must succeed.
 
+mod common;
+
 use rock::algorithm::{OutlierPolicy, RockAlgorithm};
 use rock::goodness::{ConstantF, Goodness, GoodnessKind};
+use rock::governor::RunGovernor;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
@@ -50,7 +53,8 @@ fn example_1_1_centroid_merges_disjoint_transactions() {
     // §1.1: the centroid algorithm merges {1,4} and {6} — transactions
     // with no item in common — because of centroid geometry.
     let vs = transactions_to_vectors(&example_1_1(), 6);
-    let c = centroid_hierarchical(&vs, CentroidConfig::plain(2));
+    let c =
+        centroid_hierarchical(&vs, CentroidConfig::plain(2), &RunGovernor::unlimited()).unwrap();
     assert_eq!(c.clusters, vec![vec![0, 1], vec![2, 3]]);
 }
 
@@ -59,10 +63,13 @@ fn example_1_1_rock_never_merges_disjoint_transactions() {
     // With links, {1,4} and {6} have no common neighbors and can never
     // be merged, whatever k is requested.
     let ts = example_1_1();
-    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.2);
+    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.2, 1).unwrap();
     let goodness = Goodness::new(0.2, ConstantF(1.0), GoodnessKind::Normalized);
     for k in 1..=3 {
-        let run = RockAlgorithm::new(goodness, k, OutlierPolicy::disabled()).run(&graph);
+        let run = common::merge(
+            &RockAlgorithm::new(goodness, k, OutlierPolicy::disabled()),
+            &graph,
+        );
         let a = run.clustering.cluster_of(2);
         let b = run.clustering.cluster_of(3);
         assert_ne!(a, b, "k={k}: disjoint transactions ended up together");
@@ -80,7 +87,9 @@ fn example_1_2_group_average_and_mst_mix_the_clusters() {
         let c = similarity_linkage(
             &PointsWith::new(&ts, Jaccard),
             LinkageConfig::new(2, linkage),
-        );
+            &RunGovernor::unlimited(),
+        )
+        .unwrap();
         assert_eq!(
             c.cluster_of(t123),
             c.cluster_of(t127),
@@ -95,9 +104,12 @@ fn figure1_rock_recovers_both_clusters() {
     // clusters (f ≈ 1 here: every transaction neighbors most of its
     // cluster — see rock-core's algorithm tests for the f-sensitivity).
     let ts = figure1();
-    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
     let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
-    let run = RockAlgorithm::new(goodness, 2, OutlierPolicy::default()).run(&graph);
+    let run = common::merge(
+        &RockAlgorithm::new(goodness, 2, OutlierPolicy::default()),
+        &graph,
+    );
     assert_eq!(run.clustering.sizes(), vec![10, 4]);
     assert_eq!(run.clustering.clusters[0], (0u32..10).collect::<Vec<_>>());
     assert_eq!(run.clustering.clusters[1], (10u32..14).collect::<Vec<_>>());
@@ -107,7 +119,7 @@ fn figure1_rock_recovers_both_clusters() {
 fn figure1_link_counts_match_paper() {
     // §3.2's arithmetic, end-to-end through the public API.
     let ts = figure1();
-    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5);
+    let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
     let links = rock::compute_links_sparse(&graph);
     let id = |items: [u32; 3]| {
         ts.iter()

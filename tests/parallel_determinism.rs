@@ -1,6 +1,7 @@
 //! Property tests for the parallel kernels' determinism contract: for any
-//! input and ANY thread count, the parallel neighbor, link and labeling
-//! paths return results bit-identical to their sequential counterparts.
+//! input and ANY thread count, the neighbor, link and labeling kernels
+//! return results bit-identical to the sequential reference kernels in
+//! `tests/common` (or, for the streaming driver, to its one-thread pass).
 //!
 //! This is the guarantee that lets `RockConfig::threads` be a pure
 //! performance knob — turning it up can never change a clustering, a
@@ -8,8 +9,11 @@
 //! ("Performance model") for why each kernel is shard-invariant by
 //! construction; these tests enforce it empirically over random inputs.
 
+mod common;
+
 use proptest::collection;
 use proptest::prelude::*;
+use rock::governor::RunGovernor;
 use rock::labeling::Labeler;
 use rock::links::compute_links_sparse;
 use rock::links_matrix::LinkMatrix;
@@ -17,7 +21,7 @@ use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
 use rock_data::packed::PackedBaskets;
-use rock_data::resilient::{label_stream_resilient, label_stream_resilient_parallel};
+use rock_data::resilient::label_stream_resilient;
 use rock_data::ResilientConfig;
 use std::io::BufReader;
 
@@ -38,15 +42,18 @@ proptest! {
         threads in 2usize..9,
     ) {
         let points = PointsWith::new(&ts, Jaccard);
-        let serial = NeighborGraph::build(&points, theta);
-        let parallel = NeighborGraph::build_parallel(&points, theta, threads);
-        prop_assert_eq!(&parallel, &serial);
-        // The packed popcount substrate yields the same graph too.
+        let serial = common::neighbors_oracle(&points, theta);
         let packed = PackedBaskets::new(&ts);
-        prop_assert_eq!(
-            &NeighborGraph::build_parallel(&packed, theta, threads),
-            &serial
-        );
+        for t in [1, 2, 3, 8, threads] {
+            let parallel = NeighborGraph::build(&points, theta, t).unwrap();
+            prop_assert_eq!(&parallel, &serial, "threads = {}", t);
+            // The packed popcount substrate yields the same graph too.
+            prop_assert_eq!(
+                &NeighborGraph::build(&packed, theta, t).unwrap(),
+                &serial,
+                "packed, threads = {}", t
+            );
+        }
     }
 
     #[test]
@@ -55,7 +62,7 @@ proptest! {
         theta in 0.1f64..0.9,
         threads in 2usize..9,
     ) {
-        let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1).unwrap();
         let seq = LinkMatrix::compute_sparse(&graph, 1);
         prop_assert_eq!(&LinkMatrix::compute_sparse(&graph, threads), &seq);
         prop_assert_eq!(&LinkMatrix::compute_dense(&graph, threads), &seq);
@@ -87,9 +94,13 @@ proptest! {
             .take(ts.len() * repeat)
             .cloned()
             .collect();
-        let serial = labeler.label_all(&data, &Jaccard);
-        let parallel = labeler.label_all_parallel(&data, &Jaccard, threads);
-        prop_assert_eq!(parallel, serial);
+        let serial = common::labeling_oracle(&labeler, &data, &Jaccard);
+        for t in [1, 2, 3, 8, threads] {
+            let parallel = labeler
+                .label_all(&data, &Jaccard, t, &RunGovernor::unlimited())
+                .unwrap();
+            prop_assert_eq!(&parallel, &serial, "threads = {}", t);
+        }
     }
 
     #[test]
@@ -131,9 +142,11 @@ proptest! {
             &config,
             None,
             |cp| seq_cps.push(cp.clone()),
+            1,
+            &RunGovernor::unlimited(),
         );
         let mut par_cps = Vec::new();
-        let par = label_stream_resilient_parallel(
+        let par = label_stream_resilient(
             BufReader::new(input.as_bytes()),
             &labeler,
             &Jaccard,
@@ -141,6 +154,7 @@ proptest! {
             None,
             |cp| par_cps.push(cp.clone()),
             threads,
+            &RunGovernor::unlimited(),
         );
         prop_assert_eq!(&par_cps, &seq_cps);
         match (seq, par) {

@@ -1,16 +1,16 @@
 //! Equivalence gates for the staged pipeline engine.
 //!
-//! `Rock::try_run`, `Rock::cluster_wal` and the resume entry points are
-//! composed from `engine::Pipeline` stages. These tests pin the refactor
-//! to the pre-engine behaviour by rebuilding each driver from the
-//! unchanged primitives (`sample_indices` → `NeighborGraph` →
-//! `RockAlgorithm` → `Labeler`) and demanding **bit-identical** results:
+//! `Rock::try_run`, `Rock::try_cluster` and the resume entry points are
+//! composed from `engine::Pipeline` stages. These tests pin the stage
+//! compositions by rebuilding each driver by hand from the primitives
+//! (`sample_indices` → `NeighborGraph` → `LinkMatrix` → `RockAlgorithm`
+//! → `Labeler`) and demanding **bit-identical** results:
 //!
 //! 1. the full Fig.-2 fit (sample indices, merge trace, clustering and
 //!    labeling) matches the hand-composed reference across thread counts
 //!    {1, 2, 8}, hash seeds and sample sizes;
 //! 2. a journaled run produces byte-identical WAL content to
-//!    `RockAlgorithm::run_governed` driving the same `MergeWal`;
+//!    `RockAlgorithm::run` driving the same `MergeWal`;
 //! 3. the crash_resume fault matrix holds with an explicitly seeded
 //!    hasher: kill-at-any-merge + resume ≡ uninterrupted, and the
 //!    continuation log replays to the same final state.
@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
 use rock::governor::{Phase, RunGovernor};
 use rock::labeling::{Labeler, Labeling};
+use rock::links_matrix::LinkMatrix;
 use rock::points::Transaction;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith};
@@ -62,8 +63,8 @@ fn engine(threads: usize, hash_seed: Option<u64>, sample_size: Option<usize>) ->
     b.build().unwrap()
 }
 
-/// The pre-engine driver, composed by hand from the unchanged
-/// primitives, reading every knob from the built configuration.
+/// The Fig.-2 driver, composed by hand from the primitives, reading
+/// every knob from the built configuration.
 fn reference_fit(rock: &Rock, data: &[Transaction]) -> (Vec<usize>, RockRun, Labeling) {
     let cfg = rock.config();
     let mut rng = StdRng::seed_from_u64(cfg.seed.expect("test engines are seeded"));
@@ -75,17 +76,15 @@ fn reference_fit(rock: &Rock, data: &[Transaction]) -> (Vec<usize>, RockRun, Lab
     };
     let sample: Vec<Transaction> = sample_indices.iter().map(|&i| data[i].clone()).collect();
     let pw = PointsWith::new(&sample, Jaccard);
-    let graph = if cfg.threads > 1 {
-        NeighborGraph::build_parallel(&pw, cfg.theta, cfg.threads)
-    } else {
-        NeighborGraph::build(&pw, cfg.theta)
-    };
+    let graph = NeighborGraph::build(&pw, cfg.theta, cfg.threads).unwrap();
+    let links = LinkMatrix::compute_auto(&graph, cfg.threads);
     let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
     let mut algorithm = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::default());
     if let Some(h) = cfg.hash_seed {
         algorithm = algorithm.with_hash_seed(h);
     }
-    let run = algorithm.run_parallel(&graph, cfg.threads);
+    let unlimited = RunGovernor::unlimited();
+    let run = algorithm.run(&graph, &links, &unlimited, None).unwrap();
     let labeler = Labeler::new(
         &sample,
         &run.clustering.clusters,
@@ -95,7 +94,9 @@ fn reference_fit(rock: &Rock, data: &[Transaction]) -> (Vec<usize>, RockRun, Lab
         &mut rng,
     )
     .expect("validated parameters");
-    let labeling = labeler.label_all_parallel(data, &Jaccard, cfg.threads);
+    let labeling = labeler
+        .label_all(data, &Jaccard, cfg.threads, &unlimited)
+        .unwrap();
     (sample_indices, run, labeling)
 }
 
@@ -129,15 +130,10 @@ proptest! {
         let names: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
         prop_assert_eq!(names, vec!["sample", "cluster", "label"]);
         prop_assert!(report.degraded.is_none());
-
-        // And the ungoverned driver (untouched by the refactor) agrees.
-        let plain = rock.run(&data, &Jaccard);
-        prop_assert_eq!(&plain.sample_run.clustering, &result.sample_run.clustering);
-        prop_assert_eq!(&plain.labeling.assignments, &result.labeling.assignments);
     }
 
     // Gate 2: the journaled path writes byte-identical WAL content to
-    // `RockAlgorithm::run_governed` over the same graph.
+    // `RockAlgorithm::run` over the same graph and links.
     #[test]
     fn journaled_fit_writes_identical_wal_bytes(
         threads_idx in 0usize..3,
@@ -149,11 +145,8 @@ proptest! {
         let cfg = rock.config();
 
         let pw = PointsWith::new(&data, Jaccard);
-        let graph = if threads > 1 {
-            NeighborGraph::build_parallel(&pw, cfg.theta, threads)
-        } else {
-            NeighborGraph::build(&pw, cfg.theta)
-        };
+        let graph = NeighborGraph::build(&pw, cfg.theta, threads).unwrap();
+        let links = LinkMatrix::compute_auto(&graph, threads);
         let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
         let mut algorithm = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::default());
         if let Some(h) = cfg.hash_seed {
@@ -161,11 +154,11 @@ proptest! {
         }
         let mut ref_wal = MergeWal::new();
         let ref_run = algorithm
-            .run_governed(&graph, threads, &RunGovernor::unlimited(), Some(&mut ref_wal))
+            .run(&graph, &links, &RunGovernor::unlimited(), Some(&mut ref_wal))
             .unwrap();
 
         let mut wal = MergeWal::new();
-        let run = rock.cluster_wal(&data, &Jaccard, &mut wal).unwrap();
+        let run = rock.try_cluster(&data, &Jaccard, Some(&mut wal)).unwrap();
 
         prop_assert_eq!(&run.clustering, &ref_run.clustering);
         prop_assert_eq!(&run.merges, &ref_run.merges);
@@ -182,7 +175,9 @@ proptest! {
     ) {
         let threads = [1usize, 2, 8][threads_idx];
         let data = three_clusters(18);
-        let baseline = engine(threads, Some(hash_seed), None).cluster(&data, &Jaccard);
+        let baseline = engine(threads, Some(hash_seed), None)
+            .try_cluster(&data, &Jaccard, None)
+            .unwrap();
 
         let killer = Rock::builder()
             .theta(0.4)
@@ -194,7 +189,7 @@ proptest! {
             .build()
             .unwrap();
         let mut wal = MergeWal::new();
-        match killer.cluster_wal(&data, &Jaccard, &mut wal) {
+        match killer.try_cluster(&data, &Jaccard, Some(&mut wal)) {
             Ok(run) => {
                 prop_assert_eq!(&run.clustering, &baseline.clustering);
                 prop_assert_eq!(&run.merges, &baseline.merges);
@@ -232,15 +227,13 @@ proptest! {
         let rock = engine(threads, Some(hash_seed), None);
         let cfg = rock.config();
         let pw = PointsWith::new(&data, Jaccard);
-        let graph = if threads > 1 {
-            NeighborGraph::build_parallel(&pw, cfg.theta, threads)
-        } else {
-            NeighborGraph::build(&pw, cfg.theta)
-        };
+        let graph = NeighborGraph::build(&pw, cfg.theta, threads).unwrap();
+        let links = LinkMatrix::compute_auto(&graph, threads);
         let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
         let baseline = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::disabled())
             .with_hash_seed(hash_seed)
-            .run_parallel(&graph, threads);
+            .run(&graph, &links, &RunGovernor::unlimited(), None)
+            .unwrap();
 
         let singletons: Vec<Vec<u32>> = (0..data.len() as u32).map(|p| vec![p]).collect();
         let mut pairs: Vec<(u32, u32, u64)> = compute_links_sparse(&graph)
@@ -295,7 +288,9 @@ proptest! {
 #[test]
 fn seeded_hasher_chained_continuation_resumes() {
     let data = three_clusters(18);
-    let baseline = engine(2, Some(77), None).cluster(&data, &Jaccard);
+    let baseline = engine(2, Some(77), None)
+        .try_cluster(&data, &Jaccard, None)
+        .unwrap();
 
     let kill_at = |k: u64| {
         Rock::builder()
@@ -310,7 +305,9 @@ fn seeded_hasher_chained_continuation_resumes() {
     };
 
     let mut wal1 = MergeWal::new();
-    let err = kill_at(4).cluster_wal(&data, &Jaccard, &mut wal1).unwrap_err();
+    let err = kill_at(4)
+        .try_cluster(&data, &Jaccard, Some(&mut wal1))
+        .unwrap_err();
     assert!(matches!(err, RockError::Interrupted { resumable: true, .. }));
 
     let mut wal2 = MergeWal::new();
@@ -332,7 +329,9 @@ fn seeded_hasher_chained_continuation_resumes() {
 #[test]
 fn snapshot_resume_through_pipeline_matches() {
     let data = three_clusters(18);
-    let baseline = engine(2, Some(5), None).cluster(&data, &Jaccard);
+    let baseline = engine(2, Some(5), None)
+        .try_cluster(&data, &Jaccard, None)
+        .unwrap();
 
     let mut wal = MergeWal::new().with_snapshot_every(4);
     let err = Rock::builder()
@@ -344,7 +343,7 @@ fn snapshot_resume_through_pipeline_matches() {
         .governor(RunGovernor::unlimited().with_kill_at(Phase::Merge, 13))
         .build()
         .unwrap()
-        .cluster_wal(&data, &Jaccard, &mut wal)
+        .try_cluster(&data, &Jaccard, Some(&mut wal))
         .unwrap_err();
     assert!(matches!(err, RockError::Interrupted { resumable: true, .. }));
 

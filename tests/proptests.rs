@@ -1,10 +1,13 @@
 //! Property-based tests (proptest) over the core data structures and
 //! invariants of the ROCK pipeline.
 
+mod common;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rock::algorithm::{OutlierPolicy, RockAlgorithm, WeedPolicy};
 use rock::goodness::{BasketF, Goodness, GoodnessKind};
+use rock::governor::RunGovernor;
 use rock::neighbors::NeighborGraph;
 use rock::points::{CategoricalRecord, Transaction};
 use rock::similarity::{
@@ -74,7 +77,7 @@ proptest! {
         m in sim_matrix(20),
         theta in 0.0f64..=1.0
     ) {
-        let g = NeighborGraph::build(&m, theta);
+        let g = NeighborGraph::build(&m, theta, 1).unwrap();
         for i in 0..g.len() {
             for &j in g.neighbors(i) {
                 prop_assert!(m.sim(i, j as usize) >= theta);
@@ -92,13 +95,13 @@ proptest! {
 
     #[test]
     fn sparse_and_dense_links_agree(m in sim_matrix(24), theta in 0.2f64..0.9) {
-        let g = NeighborGraph::build(&m, theta);
+        let g = NeighborGraph::build(&m, theta, 1).unwrap();
         prop_assert_eq!(compute_links_sparse(&g), compute_links_dense(&g));
     }
 
     #[test]
     fn link_counts_are_bounded_by_min_degree(ts in transactions(16)) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3, 1).unwrap();
         let links = compute_links_sparse(&g);
         for ((i, j), c) in links.iter() {
             let bound = g.degree(i as usize).min(g.degree(j as usize)) as u32;
@@ -112,9 +115,9 @@ proptest! {
         theta in 0.1f64..0.9,
         k in 1usize..6
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1).unwrap();
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
-        let run = RockAlgorithm::new(goodness, k, OutlierPolicy::default()).run(&g);
+        let run = common::merge(&RockAlgorithm::new(goodness, k, OutlierPolicy::default()), &g);
         let mut seen = vec![false; ts.len()];
         for cluster in &run.clustering.clusters {
             for &p in cluster {
@@ -138,10 +141,11 @@ proptest! {
         ts in transactions(20),
         min_size in 1usize..4
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4, 1).unwrap();
         let goodness = Goodness::new(0.4, BasketF, GoodnessKind::Normalized);
-        let without = RockAlgorithm::new(goodness, 2, OutlierPolicy::default()).run(&g);
-        let with = RockAlgorithm::new(
+        let without =
+            common::merge(&RockAlgorithm::new(goodness, 2, OutlierPolicy::default()), &g);
+        let weeding = RockAlgorithm::new(
             goodness,
             2,
             OutlierPolicy {
@@ -151,8 +155,8 @@ proptest! {
                     min_cluster_size: min_size,
                 }),
             },
-        )
-        .run(&g);
+        );
+        let with = common::merge(&weeding, &g);
         // Weeding at stop_multiple=1 weeds exactly at the end state, so
         // surviving clusters are the un-weeded ones of size ≥ min_size.
         let expected: Vec<&Vec<u32>> = without
@@ -186,7 +190,7 @@ proptest! {
     fn criterion_value_invariant_under_cluster_order(
         ts in transactions(14)
     ) {
-        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3);
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3, 1).unwrap();
         let links = compute_links_sparse(&g);
         let good = Goodness::new(0.3, BasketF, GoodnessKind::Normalized);
         let n = ts.len() as u32;
@@ -292,6 +296,8 @@ proptest! {
             &config,
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         );
     }
 

@@ -17,8 +17,8 @@ use rock::points::Transaction;
 use rock::similarity::Jaccard;
 use rock_data::faults::{corrupt_baskets, kill_at, FaultSpec, FaultyReader};
 use rock_data::resilient::{
-    label_stream_resilient, label_stream_resilient_governed, read_baskets_resilient, Checkpoint,
-    IngestErrorKind, ResilientConfig, ResilientLabelRun, RetryPolicy,
+    label_stream_resilient, read_baskets_resilient, Checkpoint, IngestErrorKind, ResilientConfig,
+    ResilientLabelRun, RetryPolicy,
 };
 use std::io::BufReader;
 
@@ -69,25 +69,25 @@ fn config() -> ResilientConfig {
 }
 
 fn run_clean(image: &str) -> ResilientLabelRun {
-    // Routed through the governor-aware entry point: with the default
-    // unlimited governor it is the same driver every acceptance test
-    // below compares against.
-    label_stream_resilient_governed(
+    // One thread, unlimited governor: the reference pass every
+    // acceptance test below compares against.
+    label_stream_resilient(
         BufReader::new(image.as_bytes()),
         &labeler(),
         &Jaccard,
         &config(),
         None,
         |_| {},
+        1,
         &RunGovernor::unlimited(),
     )
     .expect("clean run cannot fail")
 }
 
 /// Matrix: data corruption (garbage/truncation) × recoverable transient
-/// I/O faults, across seeds. Every cell must complete without panicking,
-/// report its degradation, and match the fault-free pass over the same
-/// (corrupted) image bit for bit.
+/// I/O faults × scoring threads {1, 2}, across seeds. Every cell must
+/// complete without panicking, report its degradation, and match the
+/// fault-free pass over the same (corrupted) image bit for bit.
 #[test]
 fn fault_matrix_recovers_and_matches_clean_pass() {
     let base = clean_image();
@@ -110,26 +110,39 @@ fn fault_matrix_recovers_and_matches_clean_pass() {
             // output and account for every fault. (Rate kept moderate:
             // consecutive scheduled faults chain into one record's retry
             // loop, and the budget must cover the longest chain.)
-            let spec = FaultSpec::none(seed).transient(0.15, 1).chunk(16);
-            let faulty = FaultyReader::new(image.as_bytes(), spec);
-            let run = label_stream_resilient(
-                BufReader::new(faulty),
-                &labeler(),
-                &Jaccard,
-                &config(),
-                None,
-                |_| {},
-            )
-            .unwrap_or_else(|e| {
-                panic!("seed {seed} g={garbage} t={truncate}: recoverable faults killed run: {e}")
-            });
-            assert!(
-                run.report.transient_io_errors > 0,
-                "seed {seed}: transient schedule never fired"
-            );
-            assert!(run.report.degraded());
-            assert_eq!(run.labeling, baseline.labeling, "seed {seed}");
-            assert_eq!(run.checkpoint, baseline.checkpoint, "seed {seed}");
+            for threads in [1, 2] {
+                let spec = FaultSpec::none(seed).transient(0.15, 1).chunk(16);
+                let faulty = FaultyReader::new(image.as_bytes(), spec);
+                let run = label_stream_resilient(
+                    BufReader::new(faulty),
+                    &labeler(),
+                    &Jaccard,
+                    &config(),
+                    None,
+                    |_| {},
+                    threads,
+                    &RunGovernor::unlimited(),
+                )
+                .unwrap_or_else(|e| {
+                    panic!(
+                        "seed {seed} g={garbage} t={truncate} threads={threads}: \
+                         recoverable faults killed run: {e}"
+                    )
+                });
+                assert!(
+                    run.report.transient_io_errors > 0,
+                    "seed {seed}: transient schedule never fired"
+                );
+                assert!(run.report.degraded());
+                assert_eq!(
+                    run.labeling, baseline.labeling,
+                    "seed {seed} threads={threads}"
+                );
+                assert_eq!(
+                    run.checkpoint, baseline.checkpoint,
+                    "seed {seed} threads={threads}"
+                );
+            }
         }
     }
 }
@@ -157,6 +170,8 @@ fn interrupted_then_resumed_run_is_bit_identical() {
             &budget_config,
             None,
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .expect_err("burst 8 against budget 2 must interrupt the run");
         let IngestErrorKind::Io(io_err) = &err.kind else {
@@ -183,6 +198,8 @@ fn interrupted_then_resumed_run_is_bit_identical() {
             &budget_config,
             Some(&persisted),
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         )
         .expect("resume over a healthy reader completes");
         assert_eq!(resumed.report.resumed_from_offset, Some(persisted.byte_offset));
@@ -231,6 +248,8 @@ fn repeated_interruptions_still_reconstruct_the_full_pass() {
             &budget_config,
             resume.as_ref(),
             |_| {},
+            1,
+            &RunGovernor::unlimited(),
         ) {
             Ok(run) => {
                 stitched.extend(run.labeling.assignments.iter().copied());
@@ -291,6 +310,8 @@ fn quarantine_overflow_is_typed_and_resumable() {
         &tight,
         None,
         |_| {},
+        1,
+        &RunGovernor::unlimited(),
     )
     .expect_err("30% garbage must overflow a cap of 3");
     assert!(matches!(
@@ -302,9 +323,12 @@ fn quarantine_overflow_is_typed_and_resumable() {
         BufReader::new(image.as_bytes()),
         &labeler(),
         &Jaccard,
-        &config(), // generous cap
+        &config(),
+        // generous cap
         Some(&err.checkpoint),
         |_| {},
+        1,
+        &RunGovernor::unlimited(),
     )
     .expect("raised cap finishes the pass");
 
@@ -328,13 +352,14 @@ fn governor_kill_composes_with_io_faults() {
     for kill_line in [1u64, 50, 150] {
         let spec = FaultSpec::none(17).transient(0.1, 1).chunk(16);
         let faulty = FaultyReader::new(image.as_bytes(), spec);
-        let err = label_stream_resilient_governed(
+        let err = label_stream_resilient(
             BufReader::new(faulty),
             &labeler(),
             &Jaccard,
             &config(),
             None,
             |_| {},
+            1,
             &kill_at(Phase::Labeling, kill_line),
         )
         .expect_err("injected kill must interrupt the run");
@@ -351,13 +376,14 @@ fn governor_kill_composes_with_io_faults() {
             Some((Phase::Labeling, TripReason::Cancelled))
         );
 
-        let resumed = label_stream_resilient_governed(
+        let resumed = label_stream_resilient(
             BufReader::new(image.as_bytes()),
             &labeler(),
             &Jaccard,
             &config(),
             Some(&err.checkpoint),
             |_| {},
+            1,
             &RunGovernor::unlimited(),
         )
         .expect("resume with an unlimited governor completes");
