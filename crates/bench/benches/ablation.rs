@@ -28,7 +28,7 @@ fn bench_goodness_kinds(c: &mut Criterion) {
     let data = generate_baskets(&spec, &mut StdRng::seed_from_u64(3));
     let graph = NeighborGraph::build(&PointsWith::new(&data.transactions, Jaccard), 0.5, 1)
         .expect("valid theta");
-    let links = LinkMatrix::compute_auto(&graph, 1);
+    let links = LinkMatrix::compute_auto(&graph, 1).expect("one thread is valid");
 
     // Quality side of the ablation, printed once: the raw-link criterion
     // lets large clusters swallow small ones (§4.2).
@@ -76,7 +76,10 @@ fn bench_outlier_pruning(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(name), &policy, |b, &policy| {
             let goodness = Goodness::new(0.6, BasketF, GoodnessKind::Normalized);
             let algo = RockAlgorithm::new(goodness, 10, policy);
-            b.iter(|| black_box(merge(&algo, &graph, &LinkMatrix::compute_auto(&graph, 1))))
+            b.iter(|| {
+                let links = LinkMatrix::compute_auto(&graph, 1).expect("one thread is valid");
+                black_box(merge(&algo, &graph, &links))
+            })
         });
     }
     group.finish();

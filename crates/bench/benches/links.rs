@@ -1,10 +1,11 @@
-//! Link-computation benchmarks (§4.4): the sparse Fig.-4 algorithm vs
-//! the bit-packed adjacency-matrix square, across neighbor-graph
-//! densities, plus the FxHash-vs-SipHash ablation for the link table.
+//! Link-computation benchmarks (§4.4): the sparse Fig.-4 `LinkMatrix`
+//! kernel vs the bit-packed adjacency-matrix square, across
+//! neighbor-graph densities, plus the FxHash-vs-SipHash ablation for the
+//! pair-keyed hash maps the merge engine keeps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::{rngs::StdRng, SeedableRng};
-use rock_core::links::{compute_links_dense, compute_links_sparse};
+use rock_core::links_matrix::{LinkKernel, LinkMatrix};
 use rock_core::neighbors::NeighborGraph;
 use rock_core::similarity::{Jaccard, PointsWith};
 use rock_data::{generate_baskets, SyntheticBasketSpec};
@@ -25,12 +26,12 @@ fn bench_sparse_vs_dense(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sparse_fig4", format!("theta={theta}")),
             &graph,
-            |b, g| b.iter(|| black_box(compute_links_sparse(g))),
+            |b, g| b.iter(|| black_box(LinkMatrix::compute_kernel(g, 1, LinkKernel::Sparse))),
         );
         group.bench_with_input(
             BenchmarkId::new("dense_bitset", format!("theta={theta}")),
             &graph,
-            |b, g| b.iter(|| black_box(compute_links_dense(g))),
+            |b, g| b.iter(|| black_box(LinkMatrix::compute_kernel(g, 1, LinkKernel::Dense))),
         );
     }
     group.finish();

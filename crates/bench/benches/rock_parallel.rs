@@ -33,8 +33,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use rand::{rngs::StdRng, SeedableRng};
 use rock_core::governor::RunGovernor;
 use rock_core::labeling::Labeler;
-use rock_core::links::compute_links_sparse;
-use rock_core::links_matrix::LinkMatrix;
+use rock_core::links_matrix::{LinkKernel, LinkMatrix};
 use rock_core::neighbors::NeighborGraph;
 use rock_core::points::Transaction;
 use rock_core::similarity::{Jaccard, PointsWith};
@@ -107,30 +106,28 @@ fn bench_links(c: &mut Criterion) {
     let graph = NeighborGraph::build(&PackedBaskets::new(sample), THETA, 1).expect("valid theta");
 
     let mut sparse = c.benchmark_group("links_sparse");
-    sparse.bench_function(BenchmarkId::from("reference_hashmap").threads(1), |b| {
-        b.iter(|| black_box(compute_links_sparse(&graph)))
-    });
+    let links = |threads, kernel| LinkMatrix::compute_kernel(&graph, threads, kernel);
     sparse.bench_function(BenchmarkId::from("csr_seq").threads(1), |b| {
-        b.iter(|| black_box(LinkMatrix::compute_sparse(&graph, 1)))
+        b.iter(|| black_box(links(1, LinkKernel::Sparse)))
     });
     for threads in THREAD_COUNTS {
         sparse.bench_with_input(
             BenchmarkId::new("csr_par", threads).threads(threads),
             &threads,
-            |b, &threads| b.iter(|| black_box(LinkMatrix::compute_sparse(&graph, threads))),
+            |b, &threads| b.iter(|| black_box(links(threads, LinkKernel::Sparse))),
         );
     }
     sparse.finish();
 
     let mut dense = c.benchmark_group("links_dense");
     dense.bench_function(BenchmarkId::from("csr_seq").threads(1), |b| {
-        b.iter(|| black_box(LinkMatrix::compute_dense(&graph, 1)))
+        b.iter(|| black_box(links(1, LinkKernel::Dense)))
     });
     for threads in THREAD_COUNTS {
         dense.bench_with_input(
             BenchmarkId::new("csr_par", threads).threads(threads),
             &threads,
-            |b, &threads| b.iter(|| black_box(LinkMatrix::compute_dense(&graph, threads))),
+            |b, &threads| b.iter(|| black_box(links(threads, LinkKernel::Dense))),
         );
     }
     dense.finish();

@@ -28,7 +28,7 @@ fn pool() -> Vec<Transaction> {
 fn cluster(sample: &[Transaction], theta: f64, algo: &RockAlgorithm, threads: usize) -> RockRun {
     let graph = NeighborGraph::build(&PointsWith::new(sample, Jaccard), theta, threads)
         .expect("valid theta and thread count");
-    let links = LinkMatrix::compute_auto(&graph, threads);
+    let links = LinkMatrix::compute_auto(&graph, threads).expect("valid thread count");
     algo.run(&graph, &links, &RunGovernor::unlimited(), None)
         .expect("an unlimited governor never trips")
 }

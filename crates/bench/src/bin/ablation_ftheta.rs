@@ -29,7 +29,7 @@ fn ari_with_f<PS: PairwiseSimilarity + Sync>(
     truth: &[usize],
 ) -> f64 {
     let graph = NeighborGraph::build(sim, theta, 1).expect("valid theta");
-    let links = LinkMatrix::compute_auto(&graph, 1);
+    let links = LinkMatrix::compute_auto(&graph, 1).expect("one thread is valid");
     let goodness = Goodness::new(theta, ConstantF(f), GoodnessKind::Normalized);
     let run = RockAlgorithm::new(goodness, k, OutlierPolicy::default())
         .run(&graph, &links, &RunGovernor::unlimited(), None)

@@ -60,7 +60,7 @@ fn main() {
                 let (_, secs) = timed(|| {
                     let graph = NeighborGraph::build(&PointsWith::new(&sample, Jaccard), theta, 1)
                         .expect("valid theta");
-                    let links = LinkMatrix::compute_auto(&graph, 1);
+                    let links = LinkMatrix::compute_auto(&graph, 1).expect("one thread is valid");
                     algo.run(&graph, &links, &RunGovernor::unlimited(), None)
                         .expect("an unlimited governor never trips")
                 });

@@ -217,7 +217,7 @@ impl RockAlgorithm {
                             .into(),
                     });
                 };
-                let links = LinkMatrix::compute_auto(graph, threads);
+                let links = LinkMatrix::compute_auto(graph, threads)?;
                 let engine = self.init_from_pairs(graph, links.iter_upper());
                 if engine.initial_points != replay.begin.initial_points
                     || engine.outliers != replay.begin.pruned_outliers
@@ -660,7 +660,7 @@ mod tests {
         use crate::criterion_fn::criterion_value;
         let ts = crate::testdata::figure1_transactions();
         let g = graph(&PointsWith::new(&ts, Jaccard), 0.5);
-        let links = crate::links::compute_links_sparse(&g);
+        let links = LinkMatrix::compute_auto(&g, 1).unwrap();
         let correct = vec![(0u32..10).collect::<Vec<_>>(), (10u32..14).collect()];
         let swallowed = vec![(0u32..12).collect::<Vec<_>>(), (12u32..14).collect()];
         let basket = Goodness::new(0.5, BasketF, GoodnessKind::Normalized);

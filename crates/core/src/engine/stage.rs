@@ -153,7 +153,7 @@ impl Stage for LinksStage<'_> {
                 ),
             });
         }
-        Ok(LinkMatrix::compute_kernel(self.graph, self.threads, kernel))
+        LinkMatrix::compute_kernel(self.graph, self.threads, kernel)
     }
 }
 
@@ -204,7 +204,7 @@ impl Stage for MergeStage<'_> {
                 .run(self.graph, links, governor, ctx.wal.as_deref_mut());
         }
         governor.check(Phase::Links)?;
-        let links = LinkMatrix::compute_auto(self.graph, self.threads);
+        let links = LinkMatrix::compute_auto(self.graph, self.threads)?;
         let link_bytes = links.memory_bytes() as u64;
         governor.charge(link_bytes);
         let result = governor.check(Phase::Links).and_then(|()| {

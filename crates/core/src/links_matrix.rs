@@ -1,17 +1,20 @@
-//! CSR link matrix — the parallel hot-path replacement for [`LinkTable`].
+//! CSR link matrix — the crate's one representation of link counts.
 //!
-//! The Fig.-4 link pass and the §4.4 matrix-square both produce, for every
-//! point, the sorted list of partners it shares common neighbors with.
-//! [`LinkMatrix`] stores exactly that as compressed sparse rows: one
-//! `offsets` array plus parallel `cols`/`counts` arrays holding both
-//! directions of every linked pair. Compared to the
-//! `FxHashMap<(u32,u32),u32>`-backed [`LinkTable`], lookups are a binary
+//! `link(pᵢ, pⱼ)` (§3.2) is the number of common neighbors of `pᵢ` and
+//! `pⱼ` — equivalently the number of distinct length-2 neighbor paths
+//! between them. The Fig.-4 link pass and the §4.4 matrix-square both
+//! produce, for every point, the sorted list of partners it shares common
+//! neighbors with. [`LinkMatrix`] stores exactly that as compressed
+//! sparse rows: one `offsets` array plus parallel `cols`/`counts` arrays
+//! holding both directions of every linked pair. Lookups are a binary
 //! search in a contiguous row, iteration is a linear scan, and
 //! construction is a sort — all cache-friendly and parallelisable.
 //!
-//! Two construction kernels are provided, selected by [`LinkMatrix::compute_auto`]:
+//! Two construction kernels are provided, run by
+//! [`LinkMatrix::compute_kernel`] and selected by cost in
+//! [`LinkMatrix::compute_auto`]:
 //!
-//! * [`LinkMatrix::compute_sparse`] — Fig. 4 reformulated as a pair
+//! * [`LinkKernel::Sparse`] — Fig. 4 reformulated as a pair
 //!   stream sharded by **smaller endpoint**: a global O(Σmᵢ) histogram
 //!   prices every CSR row by its emitted-pair count, contiguous row
 //!   ranges of equal pair mass are handed to workers, and each worker
@@ -25,7 +28,7 @@
 //!   boundaries fall, so output is **bit-identical for every thread
 //!   count and every shard split** (proptest-pinned in
 //!   `tests/kernel_invariance.rs`).
-//! * [`LinkMatrix::compute_dense`] — §4.4's boolean `A²` over bit-packed
+//! * [`LinkKernel::Dense`] — §4.4's boolean `A²` over bit-packed
 //!   adjacency rows: worker `t` owns a block of rows and computes
 //!   `popcount(rowᵢ & rowⱼ)` for `j > i`, writing into its own block, so
 //!   again no merge order can affect the result.
@@ -35,7 +38,7 @@
 
 use std::ops::Range;
 
-use crate::links::LinkTable;
+use crate::error::RockError;
 use crate::neighbors::NeighborGraph;
 use crate::util::{balanced_ranges, BitSet};
 
@@ -53,7 +56,7 @@ pub enum LinkKernel {
 ///
 /// Row `i` lists, ascending, every `j` with `link(i, j) > 0` together
 /// with the count; every linked pair therefore appears twice (once per
-/// endpoint), exactly like the adjacency view of [`LinkTable::per_point`].
+/// endpoint).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LinkMatrix {
     /// Row boundaries: row `i` occupies `cols[offsets[i]..offsets[i+1]]`.
@@ -119,25 +122,6 @@ impl LinkMatrix {
         })
     }
 
-    /// Converts to the hashmap-backed reference representation.
-    pub fn to_table(&self) -> LinkTable {
-        let mut table = LinkTable::new(self.num_points());
-        for ((i, j), c) in self.iter_upper() {
-            table.add(i as usize, j as usize, c);
-        }
-        table
-    }
-
-    /// Builds a matrix from the hashmap-backed reference representation.
-    pub fn from_table(table: &LinkTable) -> Self {
-        let mut pairs: Vec<(u64, u32)> = table
-            .iter()
-            .map(|((i, j), c)| (pack(i, j), c))
-            .collect();
-        pairs.sort_unstable_by_key(|&(key, _)| key);
-        Self::assemble_runs(table.num_points(), std::slice::from_ref(&pairs))
-    }
-
     /// Approximate heap footprint in bytes (for the auto heuristic and
     /// benchmark reports).
     pub fn memory_bytes(&self) -> usize {
@@ -176,11 +160,7 @@ impl LinkMatrix {
     /// a contiguous CSR row range whose sorted `(key, count)` run it
     /// writes outright. Runs occupy disjoint ascending key ranges, so
     /// assembly is a concatenated scan with no merge step.
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn compute_sparse(graph: &NeighborGraph, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
+    fn sparse_kernel(graph: &NeighborGraph, threads: usize) -> Self {
         let hist = Self::smaller_endpoint_histogram(graph);
         let shards = balanced_ranges(graph.len(), threads, |j| hist[j] as u64);
         Self::compute_sparse_on(graph, &hist, &shards)
@@ -196,8 +176,8 @@ impl LinkMatrix {
         Self::compute_sparse_on(graph, &hist, shards)
     }
 
-    /// The sharded counting-sort body shared by
-    /// [`Self::compute_sparse`] and [`Self::compute_sparse_ranges`].
+    /// The sharded counting-sort body shared by the sparse kernel and
+    /// [`Self::compute_sparse_ranges`].
     ///
     /// Each worker counting-sorts exactly the pairs whose smaller
     /// endpoint falls in its row range: a per-`j` segment layout read
@@ -205,8 +185,8 @@ impl LinkMatrix {
     /// (neighbor lists are ascending ⇒ `(j, l)` is already the
     /// normalised pair), then a dense per-segment count into the
     /// shard's sorted run. O(pairs) total, vs O(pairs·log pairs) for a
-    /// sort — the difference that makes this kernel beat the hashmap
-    /// reference instead of losing to it.
+    /// sort — the difference that makes this kernel beat a hash-map
+    /// pair counter instead of losing to it.
     fn compute_sparse_on(
         graph: &NeighborGraph,
         hist: &[usize],
@@ -288,12 +268,8 @@ impl LinkMatrix {
     }
 
     /// §4.4's boolean matrix square over bit-packed rows, blocked across
-    /// workers. Output is identical to [`Self::compute_sparse`].
-    ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn compute_dense(graph: &NeighborGraph, threads: usize) -> Self {
-        assert!(threads > 0, "need at least one thread");
+    /// workers. Output is identical to the sparse kernel's.
+    fn dense_kernel(graph: &NeighborGraph, threads: usize) -> Self {
         let n = graph.len();
         let mut rows: Vec<BitSet> = Vec::with_capacity(n);
         for i in 0..n {
@@ -351,15 +327,14 @@ impl LinkMatrix {
     /// square costs `n²/2 · ⌈n/64⌉` word ANDs plus O(n²/8) bytes of row
     /// storage. One counted pair costs ~1.5× a popcount-AND word op
     /// (measured with `bench/benches/rock_parallel.rs` on the §5.3
-    /// generator — far below the ~8× of the old hash-increment path,
-    /// which is why the crossover moved), and both kernels parallelise
-    /// evenly so `threads` does not shift it. Dense is refused above
-    /// 64 MiB of row storage regardless.
-    pub fn compute_auto(graph: &NeighborGraph, threads: usize) -> Self {
-        match Self::choose_kernel(graph) {
-            LinkKernel::Dense => Self::compute_dense(graph, threads),
-            LinkKernel::Sparse => Self::compute_sparse(graph, threads),
-        }
+    /// generator, against ~8× for a hash-map increment), and both
+    /// kernels parallelise evenly so `threads` does not shift it. Dense
+    /// is refused above 64 MiB of row storage regardless.
+    ///
+    /// # Errors
+    /// [`RockError::InvalidThreads`] if `threads == 0`.
+    pub fn compute_auto(graph: &NeighborGraph, threads: usize) -> Result<Self, RockError> {
+        Self::compute_kernel(graph, threads, Self::choose_kernel(graph))
     }
 
     /// The kernel [`compute_auto`](Self::compute_auto) would pick for
@@ -394,15 +369,23 @@ impl LinkMatrix {
         n * n / 8
     }
 
-    /// Runs the named kernel.
+    /// Runs the named kernel over `threads` workers. Both kernels return
+    /// the same matrix, bit for bit, at every thread count.
     ///
-    /// # Panics
-    /// Panics if `threads == 0`.
-    pub fn compute_kernel(graph: &NeighborGraph, threads: usize, kernel: LinkKernel) -> Self {
-        match kernel {
-            LinkKernel::Dense => Self::compute_dense(graph, threads),
-            LinkKernel::Sparse => Self::compute_sparse(graph, threads),
+    /// # Errors
+    /// [`RockError::InvalidThreads`] if `threads == 0`.
+    pub fn compute_kernel(
+        graph: &NeighborGraph,
+        threads: usize,
+        kernel: LinkKernel,
+    ) -> Result<Self, RockError> {
+        if threads == 0 {
+            return Err(RockError::InvalidThreads(threads));
         }
+        Ok(match kernel {
+            LinkKernel::Sparse => Self::sparse_kernel(graph, threads),
+            LinkKernel::Dense => Self::dense_kernel(graph, threads),
+        })
     }
 
     /// Builds the symmetric CSR from upper-triangle `(packed key, count)`
@@ -467,9 +450,9 @@ fn unpack(key: u64) -> (u32, u32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::links::compute_links_sparse;
     use crate::points::Transaction;
     use crate::similarity::{Jaccard, PointsWith, SimilarityMatrix};
+    use crate::testdata::figure1_transactions;
 
     fn pseudo_graph(n: usize, theta: f64) -> NeighborGraph {
         let m = SimilarityMatrix::from_fn(n, |i, j| {
@@ -478,35 +461,96 @@ mod tests {
         NeighborGraph::build(&m, theta, 1).unwrap()
     }
 
+    fn sparse(graph: &NeighborGraph, threads: usize) -> LinkMatrix {
+        LinkMatrix::compute_kernel(graph, threads, LinkKernel::Sparse).unwrap()
+    }
+
+    fn dense(graph: &NeighborGraph, threads: usize) -> LinkMatrix {
+        LinkMatrix::compute_kernel(graph, threads, LinkKernel::Dense).unwrap()
+    }
+
+    /// O(n³) textbook square of the 0/1 adjacency matrix: entry (i, j)
+    /// is the number of common neighbors of i and j.
+    fn adjacency_square(graph: &NeighborGraph) -> Vec<Vec<u32>> {
+        let n = graph.len();
+        let mut a = vec![vec![0u32; n]; n];
+        for (i, row) in a.iter_mut().enumerate() {
+            for &j in graph.neighbors(i) {
+                row[j as usize] = 1;
+            }
+        }
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        if i == j {
+                            0
+                        } else {
+                            (0..n).map(|l| a[i][l] * a[l][j]).sum()
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_matches_square(m: &LinkMatrix, graph: &NeighborGraph) {
+        let square = adjacency_square(graph);
+        assert_eq!(m.num_points(), graph.len());
+        for (i, row) in square.iter().enumerate() {
+            for (j, &c) in row.iter().enumerate() {
+                assert_eq!(m.count(i, j), c, "pair ({i},{j})");
+            }
+        }
+        let linked = square.iter().flatten().filter(|&&c| c > 0).count();
+        assert_eq!(m.num_linked_pairs() * 2, linked);
+        let total: u64 = square.iter().flatten().map(|&c| u64::from(c)).sum();
+        assert_eq!(m.total_links() * 2, total);
+    }
+
+    fn find(ts: &[Transaction], items: [u32; 3]) -> usize {
+        let t = Transaction::from(items);
+        ts.iter()
+            .position(|x| *x == t)
+            .expect("transaction present")
+    }
+
     #[test]
     fn matches_reference_table() {
         let g = pseudo_graph(90, 0.6);
-        let reference = compute_links_sparse(&g);
-        let matrix = LinkMatrix::compute_sparse(&g, 1);
-        assert_eq!(matrix.to_table(), reference);
-        assert_eq!(matrix.num_linked_pairs(), reference.num_linked_pairs());
-        assert_eq!(matrix.total_links(), reference.total_links());
-        for i in 0..g.len() {
-            for j in 0..g.len() {
-                assert_eq!(
-                    matrix.count(i, j),
-                    reference.count(i, j),
-                    "pair ({i},{j})"
-                );
-            }
+        assert_matches_square(&sparse(&g, 1), &g);
+    }
+
+    #[test]
+    fn links_match_adjacency_matrix_square() {
+        let m = SimilarityMatrix::from_fn(40, |i, j| ((i * 31 + j * 17) % 10) as f64 / 10.0);
+        let g = NeighborGraph::build(&m, 0.5, 1).unwrap();
+        for kernel in [LinkKernel::Sparse, LinkKernel::Dense] {
+            assert_matches_square(&LinkMatrix::compute_kernel(&g, 2, kernel).unwrap(), &g);
         }
+    }
+
+    #[test]
+    fn zero_threads_is_a_typed_error() {
+        let g = pseudo_graph(20, 0.5);
+        for kernel in [LinkKernel::Sparse, LinkKernel::Dense] {
+            assert_eq!(
+                LinkMatrix::compute_kernel(&g, 0, kernel),
+                Err(RockError::InvalidThreads(0))
+            );
+        }
+        assert_eq!(
+            LinkMatrix::compute_auto(&g, 0),
+            Err(RockError::InvalidThreads(0))
+        );
     }
 
     #[test]
     fn sparse_kernel_is_thread_count_invariant() {
         let g = pseudo_graph(150, 0.5);
-        let one = LinkMatrix::compute_sparse(&g, 1);
+        let one = sparse(&g, 1);
         for threads in [2, 3, 5, 8, 16] {
-            assert_eq!(
-                LinkMatrix::compute_sparse(&g, threads),
-                one,
-                "threads={threads}"
-            );
+            assert_eq!(sparse(&g, threads), one, "threads={threads}");
         }
     }
 
@@ -514,7 +558,7 @@ mod tests {
     fn adversarial_shard_splits_are_invariant() {
         let g = pseudo_graph(120, 0.5);
         let n = g.len();
-        let reference = LinkMatrix::compute_sparse(&g, 1);
+        let reference = sparse(&g, 1);
         let splits: Vec<Vec<Range<usize>>> = vec![
             vec![0..n],
             vec![0..1, 1..2, 2..n],
@@ -536,11 +580,11 @@ mod tests {
     fn dense_kernel_matches_sparse_kernel() {
         for theta in [0.2, 0.5, 0.8] {
             let g = pseudo_graph(120, theta);
-            let sparse = LinkMatrix::compute_sparse(&g, 3);
+            let reference = sparse(&g, 3);
             for threads in [1, 4] {
                 assert_eq!(
-                    LinkMatrix::compute_dense(&g, threads),
-                    sparse,
+                    dense(&g, threads),
+                    reference,
                     "theta={theta} threads={threads}"
                 );
             }
@@ -549,11 +593,12 @@ mod tests {
 
     #[test]
     fn auto_matches_explicit_kernels() {
+        // Dense regime (low θ) and sparse regime (high θ).
         for theta in [0.15, 0.9] {
             let g = pseudo_graph(140, theta);
             assert_eq!(
-                LinkMatrix::compute_auto(&g, 2),
-                LinkMatrix::compute_sparse(&g, 1),
+                LinkMatrix::compute_auto(&g, 2).unwrap(),
+                sparse(&g, 1),
                 "theta={theta}"
             );
         }
@@ -562,7 +607,7 @@ mod tests {
     #[test]
     fn rows_are_sorted_and_symmetric() {
         let g = pseudo_graph(100, 0.45);
-        let m = LinkMatrix::compute_sparse(&g, 4);
+        let m = sparse(&g, 4);
         for i in 0..m.num_points() {
             let (cols, counts) = m.row(i);
             assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {i} unsorted");
@@ -576,7 +621,7 @@ mod tests {
     #[test]
     fn iter_upper_is_sorted_and_complete() {
         let g = pseudo_graph(80, 0.5);
-        let m = LinkMatrix::compute_sparse(&g, 2);
+        let m = sparse(&g, 2);
         let pairs: Vec<((u32, u32), u32)> = m.iter_upper().collect();
         assert_eq!(pairs.len(), m.num_linked_pairs());
         assert!(pairs.windows(2).all(|w| w[0].0 < w[1].0), "unsorted pairs");
@@ -587,28 +632,74 @@ mod tests {
     }
 
     #[test]
-    fn from_table_round_trips() {
-        let g = pseudo_graph(70, 0.55);
-        let table = compute_links_sparse(&g);
-        let m = LinkMatrix::from_table(&table);
-        assert_eq!(m, LinkMatrix::compute_sparse(&g, 1));
-        assert_eq!(m.to_table(), table);
+    fn paper_example_links_figure1() {
+        // §3.2: with θ = 0.5, {1,2,6} has 5 links with {1,2,7} and 3 links
+        // with {1,2,3}; {1,6,7} has 2 links with {1,2,6} and 0 links with
+        // transactions of the big cluster not containing 1, 2, 6 or 7.
+        let ts = figure1_transactions();
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
+        let m = LinkMatrix::compute_auto(&g, 2).unwrap();
+        assert_eq!(m.count(find(&ts, [1, 2, 6]), find(&ts, [1, 2, 7])), 5);
+        assert_eq!(m.count(find(&ts, [1, 2, 6]), find(&ts, [1, 2, 3])), 3);
+        assert_eq!(m.count(find(&ts, [1, 6, 7]), find(&ts, [1, 2, 6])), 2);
+        assert_eq!(m.count(find(&ts, [1, 6, 7]), find(&ts, [3, 4, 5])), 0);
     }
 
     #[test]
-    fn paper_example_links_figure1() {
-        // Same §3.2 counts the LinkTable tests pin down.
-        let ts = crate::testdata::figure1_transactions();
-        let find = |items: [u32; 3]| {
-            let t = Transaction::from(items);
-            ts.iter().position(|x| *x == t).expect("present")
-        };
+    fn paper_example_1_2_pair_counts() {
+        // §1.2: pairs containing {1,2} in the same cluster have 5 common
+        // neighbors; across clusters only 3.
+        let ts = figure1_transactions();
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
-        let m = LinkMatrix::compute_auto(&g, 2);
-        assert_eq!(m.count(find([1, 2, 6]), find([1, 2, 7])), 5);
-        assert_eq!(m.count(find([1, 2, 6]), find([1, 2, 3])), 3);
-        assert_eq!(m.count(find([1, 6, 7]), find([1, 2, 6])), 2);
-        assert_eq!(m.count(find([1, 6, 7]), find([3, 4, 5])), 0);
+        let m = sparse(&g, 1);
+        let t123 = find(&ts, [1, 2, 3]);
+        assert_eq!(m.count(t123, find(&ts, [1, 2, 4])), 5);
+        assert_eq!(m.count(t123, find(&ts, [1, 2, 6])), 3);
+    }
+
+    #[test]
+    fn per_point_adjacency_is_consistent() {
+        let ts = figure1_transactions();
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
+        let m = sparse(&g, 1);
+        for i in 0..m.num_points() {
+            let (cols, counts) = m.row(i);
+            assert!(cols.windows(2).all(|w| w[0] < w[1]), "sorted by id");
+            for (&j, &c) in cols.iter().zip(counts) {
+                assert_eq!(m.count(i, j as usize), c);
+                assert!(c > 0);
+            }
+        }
+        // Every linked pair appears exactly twice across the rows.
+        let total: usize = (0..m.num_points()).map(|i| m.row(i).0.len()).sum();
+        assert_eq!(total, 2 * m.num_linked_pairs());
+    }
+
+    #[test]
+    fn isolated_point_has_no_links() {
+        let ts = vec![
+            Transaction::from([1, 2, 3]),
+            Transaction::from([1, 2, 4]),
+            Transaction::from([1, 3, 4]),
+            Transaction::from([9]),
+        ];
+        let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.4, 1).unwrap();
+        let m = LinkMatrix::compute_auto(&g, 1).unwrap();
+        for i in 0..3 {
+            assert_eq!(m.count(3, i), 0);
+        }
+        assert!(m.row(3).0.is_empty());
+    }
+
+    #[test]
+    fn count_diagonal_and_missing_are_zero() {
+        let m = LinkMatrix::new(5);
+        assert_eq!(m.count(2, 2), 0);
+        assert_eq!(m.count(0, 1), 0);
+        assert_eq!(m.total_links(), 0);
+        let g = pseudo_graph(30, 0.3);
+        let m = sparse(&g, 1);
+        assert!((0..g.len()).all(|i| m.count(i, i) == 0));
     }
 
     #[test]
@@ -622,7 +713,7 @@ mod tests {
         );
 
         let g = NeighborGraph::from_lists(vec![vec![], vec![], vec![]], 0.5);
-        let m = LinkMatrix::compute_sparse(&g, 2);
+        let m = sparse(&g, 2);
         assert_eq!(m.num_points(), 3);
         assert_eq!(m.num_linked_pairs(), 0);
         assert_eq!(m.count(0, 1), 0);

@@ -233,10 +233,10 @@ mod tests {
     fn oracle<S: PairwiseSimilarity>(sim: &S, theta: f64) -> NeighborGraph {
         let n = sim.len();
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for i in 0..n {
+        for (i, list) in lists.iter_mut().enumerate() {
             for j in (i + 1)..n {
                 if sim.sim(i, j) >= theta {
-                    lists[i].push(j as u32);
+                    list.push(j as u32);
                 }
             }
         }

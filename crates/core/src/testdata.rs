@@ -32,7 +32,7 @@ pub(crate) fn merge(
     algorithm: crate::algorithm::RockAlgorithm,
     graph: &crate::neighbors::NeighborGraph,
 ) -> Result<crate::algorithm::RockRun, crate::error::RockError> {
-    let links = crate::links_matrix::LinkMatrix::compute_auto(graph, 1);
+    let links = crate::links_matrix::LinkMatrix::compute_auto(graph, 1)?;
     algorithm.run(
         graph,
         &links,

@@ -440,7 +440,7 @@ mod tests {
     use rock_core::similarity::{CategoricalJaccard, Similarity};
 
     #[test]
-    fn paper_sizes_sum_to_table1() {
+    fn paper_sizes_match_table1_totals() {
         let spec = MushroomSpec::paper();
         assert_eq!(spec.total_records(), 8124);
         let edible: usize = spec

@@ -175,7 +175,8 @@ pub fn run_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
 /// **changelog** — every PR appends one line to CHANGES.md, and every
 /// entry line keeps the `PR <n>: <summary>` shape (no list bullets, no
 /// drifting formats): the file is the cross-session protocol log and
-/// tools parse it by that shape.
+/// tools parse it by that shape. Defect notes (`FOUND: …`, renamed
+/// `MENDED: …` once fixed) are the log's one other line shape.
 fn check_changelog(root: &Path, out: &mut Vec<Diagnostic>) {
     let path = root.join("CHANGES.md");
     let Ok(text) = fs::read_to_string(&path) else {
@@ -195,16 +196,9 @@ fn check_changelog(root: &Path, out: &mut Vec<Diagnostic>) {
         if t.is_empty() || t.starts_with('#') {
             continue;
         }
-        let well_formed = t
-            .strip_prefix("PR ")
-            .and_then(|r| {
-                let digits = r.chars().take_while(char::is_ascii_digit).count();
-                (digits > 0).then(|| &r[digits..])
-            })
-            .is_some_and(|r| r.starts_with(": "));
-        if well_formed {
+        if is_pr_entry(t) {
             entries += 1;
-        } else {
+        } else if !is_defect_note(t) {
             out.push(Diagnostic {
                 file: "CHANGES.md".to_string(),
                 line: i + 1,
@@ -225,6 +219,22 @@ fn check_changelog(root: &Path, out: &mut Vec<Diagnostic>) {
             message: "CHANGES.md must exist and carry at least one `PR …` entry".to_string(),
         });
     }
+}
+
+/// True for a `PR <n>: <summary>` changelog entry.
+fn is_pr_entry(line: &str) -> bool {
+    line.strip_prefix("PR ")
+        .and_then(|r| {
+            let digits = r.chars().take_while(char::is_ascii_digit).count();
+            (digits > 0).then(|| &r[digits..])
+        })
+        .is_some_and(|r| r.starts_with(": "))
+}
+
+/// True for a defect note: `FOUND: <where and what>` for a fault a PR
+/// saw but did not fix, `MENDED: …` once a later PR fixes it.
+fn is_defect_note(line: &str) -> bool {
+    line.starts_with("FOUND: ") || line.starts_with("MENDED: ")
 }
 
 /// Finds the workspace root: the nearest ancestor of `start` whose
@@ -304,6 +314,19 @@ mod tests {
         assert_eq!(classify("crates/tidy/tests/fixtures/panic_unwrap.rs"), None);
         assert_eq!(classify("target/debug/build/foo.rs"), None);
         assert_eq!(classify("README.md"), None);
+    }
+
+    #[test]
+    fn changelog_line_shapes() {
+        assert!(is_pr_entry("PR 12: one governed path per job"));
+        assert!(!is_pr_entry("PR 12 (re-measure): spread"));
+        assert!(!is_pr_entry("- PR 3: bullet"));
+        assert!(!is_pr_entry("PR : no number"));
+        assert!(!is_pr_entry("FOUND: a.rs: fault"));
+        assert!(is_defect_note("FOUND: a.rs: fault"));
+        assert!(is_defect_note("MENDED: a.rs: fault"));
+        assert!(!is_defect_note("Found: a.rs: fault"));
+        assert!(!is_defect_note("FOUND a.rs"));
     }
 
     #[test]

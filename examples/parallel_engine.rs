@@ -10,8 +10,7 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 use rock::labeling::Labeler;
-use rock::links::compute_links_sparse;
-use rock::links_matrix::LinkMatrix;
+use rock::links_matrix::{LinkKernel, LinkMatrix};
 use rock::neighbors::NeighborGraph;
 use rock::rock::Rock;
 use rock::similarity::{Jaccard, PointsWith};
@@ -57,13 +56,14 @@ fn main() {
 
     // --- stage 2: links. The CSR LinkMatrix picks the Fig.-4 counting
     // kernel or §4.4 matrix squaring by predicted cost; both shard across
-    // threads and merge deterministically. The legacy hashmap table stays
-    // as the cross-checked reference.
-    let links = LinkMatrix::compute_auto(&graph, threads);
-    let legacy = compute_links_sparse(&graph);
-    assert_eq!(links.to_table(), legacy, "CSR kernels must match the reference table");
+    // threads and produce the same matrix, so each checks the other.
+    let links = LinkMatrix::compute_auto(&graph, threads).expect("threads >= 1");
+    for kernel in [LinkKernel::Sparse, LinkKernel::Dense] {
+        let one = LinkMatrix::compute_kernel(&graph, 1, kernel).expect("threads >= 1");
+        assert_eq!(links, one, "{kernel:?} kernel at one thread must match");
+    }
     println!(
-        "links: {} linked pairs, {} total links (CSR == hashmap reference ✓)",
+        "links: {} linked pairs, {} total links (sparse == dense kernel ✓)",
         links.num_linked_pairs(),
         links.total_links()
     );

@@ -162,7 +162,7 @@ fn chained_interruptions_resume_through_continuation_logs() {
     let graph =
         rock::NeighborGraph::build(&rock::similarity::PointsWith::new(&data, Jaccard), 0.4, 1)
             .unwrap();
-    let links = rock::compute_links_sparse(&graph);
+    let links = rock::LinkMatrix::compute_auto(&graph, 1).unwrap();
     let goodness = rock::Goodness::new(0.4, rock::ConstantF(1.0), rock::GoodnessKind::Normalized);
     let d_resumed = Dendrogram::from_run(&resumed).expect("no weeding");
     let d_baseline = Dendrogram::from_run(&baseline).expect("no weeding");

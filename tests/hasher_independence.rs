@@ -18,9 +18,7 @@ use rock::links_matrix::LinkMatrix;
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
-use rock::util::FxBuildHasher;
 use rock::wal::MergeWal;
-use rock::{compute_links_sparse, compute_links_sparse_seeded};
 
 /// Strategy: a set of transactions over a small item universe.
 fn transactions(max_points: usize) -> impl Strategy<Value = Vec<Transaction>> {
@@ -40,8 +38,8 @@ macro_rules! assert_same_run {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    // The full pipeline — link table, merge loop, weeding — produces
-    // bit-identical results under scrambled map iteration orders.
+    // The merge loop and weeding produce bit-identical results under
+    // scrambled map iteration orders.
     #[test]
     fn clustering_is_identical_across_hash_seeds(
         ts in transactions(20),
@@ -61,20 +59,15 @@ proptest! {
         let algo = RockAlgorithm::new(goodness, k, outliers);
         let governor = RunGovernor::unlimited();
 
-        let baseline_links = LinkMatrix::from_table(&compute_links_sparse(&g));
+        let links = LinkMatrix::compute_auto(&g, 1).unwrap();
         let baseline = algo
-            .run(&g, &baseline_links, &governor, None)
+            .run(&g, &links, &governor, None)
             .expect("unlimited governor");
 
-        // Scramble both the link table's hash maps and the engine's
-        // internal cross-link maps.
-        let seeded_links = LinkMatrix::from_table(&compute_links_sparse_seeded(
-            &g,
-            FxBuildHasher::with_seed(seed),
-        ));
+        // Scramble the engine's internal cross-link maps.
         let seeded = algo
             .with_hash_seed(seed)
-            .run(&g, &seeded_links, &governor, None)
+            .run(&g, &links, &governor, None)
             .expect("unlimited governor");
 
         assert_same_run!(baseline, seeded);
@@ -94,7 +87,7 @@ proptest! {
         let goodness = Goodness::new(theta, BasketF, GoodnessKind::Normalized);
         let algo = RockAlgorithm::new(goodness, 2, OutlierPolicy::default());
         let governor = RunGovernor::unlimited();
-        let links = LinkMatrix::compute_auto(&g, 1);
+        let links = LinkMatrix::compute_auto(&g, 1).unwrap();
 
         let mut wal_a = MergeWal::new().with_snapshot_every(4);
         let run_a = algo
@@ -127,7 +120,7 @@ proptest! {
 
         let mut wal = MergeWal::new().with_snapshot_every(2);
         let complete = algo
-            .run(&g, &LinkMatrix::compute_auto(&g, 1), &governor, Some(&mut wal))
+            .run(&g, &LinkMatrix::compute_auto(&g, 1).unwrap(), &governor, Some(&mut wal))
             .expect("unlimited governor");
 
         // Replay the finished log under a scrambled hasher: the replayed

@@ -28,7 +28,7 @@ use proptest::collection;
 use proptest::prelude::*;
 use rock::governor::RunGovernor;
 use rock::labeling::Labeler;
-use rock::links_matrix::LinkMatrix;
+use rock::links_matrix::{LinkKernel, LinkMatrix};
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith, Similarity};
@@ -43,6 +43,11 @@ const THREAD_GRID: [usize; 4] = [1, 2, 3, 8];
 fn baskets(max_n: usize) -> impl Strategy<Value = Vec<Transaction>> {
     collection::vec(collection::vec(0u32..60, 1..6), 8..max_n)
         .prop_map(|items| items.into_iter().map(Transaction::new).collect())
+}
+
+/// The sparse link kernel on `threads` workers.
+fn sparse(graph: &NeighborGraph, threads: usize) -> LinkMatrix {
+    LinkMatrix::compute_kernel(graph, threads, LinkKernel::Sparse).unwrap()
 }
 
 /// Materialises fractional cut points into a full contiguous partition
@@ -107,7 +112,7 @@ proptest! {
         salt_empties in any::<bool>(),
     ) {
         let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1).unwrap();
-        let reference = LinkMatrix::compute_sparse(&graph, 1);
+        let reference = sparse(&graph, 1);
         let shards = ranges_from_cuts(graph.len(), &cuts, salt_empties);
         prop_assert_eq!(
             &LinkMatrix::compute_sparse_ranges(&graph, &shards),
@@ -167,7 +172,11 @@ fn pinned_thread_grid_is_bit_identical() {
     let points = PointsWith::new(&ts, Jaccard);
     let packed = PackedBaskets::new(&ts);
     let graph = common::neighbors_oracle(&points, theta);
-    let links = LinkMatrix::compute_sparse(&graph, 1);
+    let links = sparse(&graph, 1);
+    assert_eq!(
+        links.iter_upper().collect::<Vec<_>>(),
+        common::links_oracle(&graph)
+    );
     let labeler = Labeler::full(
         &ts,
         &[(0..90u32).collect::<Vec<_>>(), (90..180u32).collect()],
@@ -188,12 +197,12 @@ fn pinned_thread_grid_is_bit_identical() {
             "packed neighbors diverged at {threads} threads"
         );
         assert_eq!(
-            LinkMatrix::compute_sparse(&graph, threads),
+            sparse(&graph, threads),
             links,
             "sparse links diverged at {threads} threads"
         );
         assert_eq!(
-            LinkMatrix::compute_dense(&graph, threads),
+            LinkMatrix::compute_kernel(&graph, threads, LinkKernel::Dense).unwrap(),
             links,
             "dense links diverged at {threads} threads"
         );
@@ -219,7 +228,7 @@ fn degenerate_graphs_accept_degenerate_splits() {
     .unwrap();
     assert_eq!(
         LinkMatrix::compute_sparse_ranges(&empty, &[]),
-        LinkMatrix::compute_sparse(&empty, 1)
+        sparse(&empty, 1)
     );
 
     let singleton = vec![Transaction::from([1, 2, 3])];
@@ -228,7 +237,7 @@ fn degenerate_graphs_accept_degenerate_splits() {
     for shards in [single, vec![0..0, 0..1, 1..1]] {
         assert_eq!(
             LinkMatrix::compute_sparse_ranges(&one, &shards),
-            LinkMatrix::compute_sparse(&one, 1),
+            sparse(&one, 1),
             "shards = {shards:?}"
         );
     }

@@ -25,29 +25,6 @@ fn example_1_1() -> Vec<Transaction> {
     ]
 }
 
-/// Fig. 1 / Example 1.2: all 3-subsets of {1..5} (cluster A, ids 0..10)
-/// and of {1, 2, 6, 7} (cluster B, ids 10..14).
-fn figure1() -> Vec<Transaction> {
-    let mut ts = Vec::new();
-    let a = [1u32, 2, 3, 4, 5];
-    for x in 0..a.len() {
-        for y in (x + 1)..a.len() {
-            for z in (y + 1)..a.len() {
-                ts.push(Transaction::from([a[x], a[y], a[z]]));
-            }
-        }
-    }
-    let b = [1u32, 2, 6, 7];
-    for x in 0..b.len() {
-        for y in (x + 1)..b.len() {
-            for z in (y + 1)..b.len() {
-                ts.push(Transaction::from([b[x], b[y], b[z]]));
-            }
-        }
-    }
-    ts
-}
-
 #[test]
 fn example_1_1_centroid_merges_disjoint_transactions() {
     // §1.1: the centroid algorithm merges {1,4} and {6} — transactions
@@ -80,7 +57,7 @@ fn example_1_1_rock_never_merges_disjoint_transactions() {
 fn example_1_2_group_average_and_mst_mix_the_clusters() {
     // §1.1: both group average and MST may assign {1,2,3} and {1,2,7}
     // (different true clusters) to one cluster.
-    let ts = figure1();
+    let ts = common::figure1();
     let t123 = ts.iter().position(|t| *t == Transaction::from([1, 2, 3])).unwrap() as u32;
     let t127 = ts.iter().position(|t| *t == Transaction::from([1, 2, 7])).unwrap() as u32;
     for linkage in [Linkage::Average, Linkage::Single] {
@@ -103,7 +80,7 @@ fn figure1_rock_recovers_both_clusters() {
     // §3.2: with θ = 0.5 the link-based approach generates the correct
     // clusters (f ≈ 1 here: every transaction neighbors most of its
     // cluster — see rock-core's algorithm tests for the f-sensitivity).
-    let ts = figure1();
+    let ts = common::figure1();
     let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
     let goodness = Goodness::new(0.5, ConstantF(1.0), GoodnessKind::Normalized);
     let run = common::merge(
@@ -118,9 +95,9 @@ fn figure1_rock_recovers_both_clusters() {
 #[test]
 fn figure1_link_counts_match_paper() {
     // §3.2's arithmetic, end-to-end through the public API.
-    let ts = figure1();
+    let ts = common::figure1();
     let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.5, 1).unwrap();
-    let links = rock::compute_links_sparse(&graph);
+    let links = rock::LinkMatrix::compute_auto(&graph, 1).unwrap();
     let id = |items: [u32; 3]| {
         ts.iter()
             .position(|t| *t == Transaction::from(items))

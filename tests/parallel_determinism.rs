@@ -15,8 +15,7 @@ use proptest::collection;
 use proptest::prelude::*;
 use rock::governor::RunGovernor;
 use rock::labeling::Labeler;
-use rock::links::compute_links_sparse;
-use rock::links_matrix::LinkMatrix;
+use rock::links_matrix::{LinkKernel, LinkMatrix};
 use rock::neighbors::NeighborGraph;
 use rock::points::Transaction;
 use rock::similarity::{Jaccard, PointsWith};
@@ -63,14 +62,13 @@ proptest! {
         threads in 2usize..9,
     ) {
         let graph = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), theta, 1).unwrap();
-        let seq = LinkMatrix::compute_sparse(&graph, 1);
-        prop_assert_eq!(&LinkMatrix::compute_sparse(&graph, threads), &seq);
-        prop_assert_eq!(&LinkMatrix::compute_dense(&graph, threads), &seq);
-        prop_assert_eq!(&LinkMatrix::compute_auto(&graph, threads), &seq);
-        // Cross-check against the legacy hashmap reference (§ Fig. 4).
-        let reference = compute_links_sparse(&graph);
-        prop_assert_eq!(&LinkMatrix::from_table(&reference), &seq);
-        prop_assert_eq!(&seq.to_table(), &reference);
+        let links = |threads, kernel| LinkMatrix::compute_kernel(&graph, threads, kernel).unwrap();
+        let seq = links(1, LinkKernel::Sparse);
+        prop_assert_eq!(&links(threads, LinkKernel::Sparse), &seq);
+        prop_assert_eq!(&links(threads, LinkKernel::Dense), &seq);
+        prop_assert_eq!(&LinkMatrix::compute_auto(&graph, threads).unwrap(), &seq);
+        // Cross-check against the Fig.-4 hash-map reference.
+        prop_assert_eq!(seq.iter_upper().collect::<Vec<_>>(), common::links_oracle(&graph));
     }
 
     #[test]

@@ -26,7 +26,7 @@ use rock::similarity::{Jaccard, PointsWith};
 use rock::util::FxBuildHasher;
 use rock::wal::{parse_wal, MergeWal};
 use rock::{
-    compute_links_sparse, Clustering, ConstantF, Goodness, IncrementalState, MergeBound,
+    Clustering, ConstantF, Goodness, IncrementalState, MergeBound,
     NeighborGraph, OutlierPolicy, RockAlgorithm, RockError, RockRun,
 };
 
@@ -77,7 +77,7 @@ fn reference_fit(rock: &Rock, data: &[Transaction]) -> (Vec<usize>, RockRun, Lab
     let sample: Vec<Transaction> = sample_indices.iter().map(|&i| data[i].clone()).collect();
     let pw = PointsWith::new(&sample, Jaccard);
     let graph = NeighborGraph::build(&pw, cfg.theta, cfg.threads).unwrap();
-    let links = LinkMatrix::compute_auto(&graph, cfg.threads);
+    let links = LinkMatrix::compute_auto(&graph, cfg.threads).unwrap();
     let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
     let mut algorithm = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::default());
     if let Some(h) = cfg.hash_seed {
@@ -146,7 +146,7 @@ proptest! {
 
         let pw = PointsWith::new(&data, Jaccard);
         let graph = NeighborGraph::build(&pw, cfg.theta, threads).unwrap();
-        let links = LinkMatrix::compute_auto(&graph, threads);
+        let links = LinkMatrix::compute_auto(&graph, threads).unwrap();
         let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
         let mut algorithm = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::default());
         if let Some(h) = cfg.hash_seed {
@@ -211,8 +211,8 @@ proptest! {
 
     // Gate 4: the extracted incremental core. Driving the merge loop
     // through the public `IncrementalState` surface — singleton clusters
-    // plus the sparse link table, merged under an uncapped `MergeBound`
-    // to the same k — reproduces the batch engine's merge trace and
+    // plus the link matrix's upper-triangle pairs, merged under an
+    // uncapped `MergeBound` to the same k — reproduces the batch engine's merge trace and
     // clustering bit-for-bit, across threads × hash seeds. And the
     // canonical state image at any mid-loop cut is identical for every
     // hasher seed, which is what makes the image serializable.
@@ -228,7 +228,7 @@ proptest! {
         let cfg = rock.config();
         let pw = PointsWith::new(&data, Jaccard);
         let graph = NeighborGraph::build(&pw, cfg.theta, threads).unwrap();
-        let links = LinkMatrix::compute_auto(&graph, threads);
+        let links = LinkMatrix::compute_auto(&graph, threads).unwrap();
         let goodness = Goodness::new(cfg.theta, ConstantF(cfg.ftheta), cfg.goodness_kind);
         let baseline = RockAlgorithm::new(goodness, cfg.k, OutlierPolicy::disabled())
             .with_hash_seed(hash_seed)
@@ -236,11 +236,10 @@ proptest! {
             .unwrap();
 
         let singletons: Vec<Vec<u32>> = (0..data.len() as u32).map(|p| vec![p]).collect();
-        let mut pairs: Vec<(u32, u32, u64)> = compute_links_sparse(&graph)
-            .iter()
-            .map(|((i, j), c)| (i.min(j), i.max(j), u64::from(c)))
+        let pairs: Vec<(u32, u32, u64)> = links
+            .iter_upper()
+            .map(|((i, j), c)| (i, j, u64::from(c)))
             .collect();
-        pairs.sort_unstable();
         let unbounded = MergeBound {
             min_goodness: f64::NEG_INFINITY,
             min_clusters: cfg.k,

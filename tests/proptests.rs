@@ -8,13 +8,13 @@ use proptest::prelude::*;
 use rock::algorithm::{OutlierPolicy, RockAlgorithm, WeedPolicy};
 use rock::goodness::{BasketF, Goodness, GoodnessKind};
 use rock::governor::RunGovernor;
+use rock::links_matrix::{LinkKernel, LinkMatrix};
 use rock::neighbors::NeighborGraph;
 use rock::points::{CategoricalRecord, Transaction};
 use rock::similarity::{
     CategoricalJaccard, Jaccard, MissingPolicy, PairwiseSimilarity, PointsWith, Similarity,
     SimilarityMatrix,
 };
-use rock::{compute_links_dense, compute_links_sparse};
 
 /// Strategy: a set of transactions over a small item universe.
 fn transactions(max_points: usize) -> impl Strategy<Value = Vec<Transaction>> {
@@ -96,14 +96,17 @@ proptest! {
     #[test]
     fn sparse_and_dense_links_agree(m in sim_matrix(24), theta in 0.2f64..0.9) {
         let g = NeighborGraph::build(&m, theta, 1).unwrap();
-        prop_assert_eq!(compute_links_sparse(&g), compute_links_dense(&g));
+        let sparse = LinkMatrix::compute_kernel(&g, 1, LinkKernel::Sparse).unwrap();
+        let dense = LinkMatrix::compute_kernel(&g, 1, LinkKernel::Dense).unwrap();
+        prop_assert_eq!(&sparse, &dense);
+        prop_assert_eq!(sparse.iter_upper().collect::<Vec<_>>(), common::links_oracle(&g));
     }
 
     #[test]
     fn link_counts_are_bounded_by_min_degree(ts in transactions(16)) {
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3, 1).unwrap();
-        let links = compute_links_sparse(&g);
-        for ((i, j), c) in links.iter() {
+        let links = LinkMatrix::compute_auto(&g, 1).unwrap();
+        for ((i, j), c) in links.iter_upper() {
             let bound = g.degree(i as usize).min(g.degree(j as usize)) as u32;
             prop_assert!(c <= bound, "link({i},{j}) = {c} > min degree {bound}");
         }
@@ -191,7 +194,7 @@ proptest! {
         ts in transactions(14)
     ) {
         let g = NeighborGraph::build(&PointsWith::new(&ts, Jaccard), 0.3, 1).unwrap();
-        let links = compute_links_sparse(&g);
+        let links = LinkMatrix::compute_auto(&g, 1).unwrap();
         let good = Goodness::new(0.3, BasketF, GoodnessKind::Normalized);
         let n = ts.len() as u32;
         let half = n / 2;
